@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 EVENT_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9._]*\Z")
 
@@ -45,7 +44,11 @@ def check_event_id(eid: str) -> str:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered event set with a controllable/uncontrollable partition."""
+    """Ordered event set with a controllable/uncontrollable partition.
+
+    ``events``, ``controllable`` and ``uncontrollable`` are tuples of event
+    ids in declaration order, computed once at construction.
+    """
 
     entries: tuple[tuple[str, bool], ...]
 
@@ -58,10 +61,10 @@ class Alphabet:
                 raise ModelFormatError(f"duplicate event id {eid!r}")
             seen.add(eid)
         object.__setattr__(self, "_flags", dict(self.entries))
-
-    @property
-    def events(self) -> tuple[str, ...]:
-        return tuple(e for e, _ in self.entries)
+        object.__setattr__(self, "events", tuple(e for e, _ in self.entries))
+        object.__setattr__(self, "controllable", tuple(e for e, c in self.entries if c))
+        object.__setattr__(self, "uncontrollable",
+                           tuple(e for e, c in self.entries if not c))
 
     def __contains__(self, eid: str) -> bool:
         return eid in self._flags
@@ -74,14 +77,6 @@ class Alphabet:
             return self._flags[eid]
         except KeyError:
             raise BadQueryError(f"unknown event {eid!r}") from None
-
-    @property
-    def controllable(self) -> tuple[str, ...]:
-        return tuple(e for e, c in self.entries if c)
-
-    @property
-    def uncontrollable(self) -> tuple[str, ...]:
-        return tuple(e for e, c in self.entries if not c)
 
     def reflagged(self, uncontrollable: Iterable[str]) -> "Alphabet":
         """Same events, controllability recomputed from an uncontrollable set."""
@@ -192,30 +187,18 @@ class Automaton:
     def _forward_reachable(self) -> set[str]:
         if self.initial is None or self.initial not in self._state_set:
             return set()
-        seen = {self.initial}
-        todo = deque([self.initial])
-        while todo:
-            q = todo.popleft()
-            for e in self.alphabet.events:
-                t = self.transitions.get((q, e))
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return seen
+        events = self.alphabet.events
+
+        def step(q):
+            return [(e, t) for e in events
+                    if (t := self.transitions.get((q, e))) is not None]
+
+        order, _, _ = explore(self.initial, step)
+        return set(order)
 
     def _backward_reachable(self, targets: Iterable[str]) -> set[str]:
-        preds: dict[str, set[str]] = {}
-        for (q, _e), t in self.transitions.items():
-            preds.setdefault(t, set()).add(q)
-        seen = set(t for t in targets if t in self._state_set)
-        todo = deque(seen)
-        while todo:
-            q = todo.popleft()
-            for p in preds.get(q, ()):
-                if p not in seen:
-                    seen.add(p)
-                    todo.append(p)
-        return seen
+        return backward_reachable(self.transitions,
+                                  (t for t in targets if t in self._state_set))
 
     def _restrict(self, keep: set[str]) -> "Automaton":
         if self.initial is not None and self.initial not in keep:
@@ -261,6 +244,62 @@ def empty_automaton(name: str, alphabet: Alphabet) -> Automaton:
                      transitions={}, initial=None, marked=())
 
 
+# -- breadth-first search ------------------------------------------------
+
+def explore(start, step: Callable) -> tuple[list, dict, Optional[tuple[str, ...]]]:
+    """Breadth-first search from ``start`` with one parent pointer per node.
+
+    ``step(node)`` returns the out-edges of ``node`` as ``(event, target)``
+    pairs in tie-break order.  It returns None when the node itself violates
+    the property; a ``target`` of None marks a violation on that event.
+
+    Returns ``(order, parent, witness)``: the expanded nodes in BFS order,
+    ``parent[t] = (node, event)`` for every discovered node (None for
+    ``start``), and the shortest violating string (None if no violation is reachable).
+    The search stops at the first violation, so ``len(order)`` counts the
+    nodes checked either way.
+    """
+    order = [start]  # the queue; nodes past index i are discovered, not expanded
+    parent: dict = {start: None}
+    for i, node in enumerate(order):
+        edges = step(node)
+        if edges is None:
+            del order[i + 1:]
+            return order, parent, path_to(parent, node)
+        for e, t in edges:
+            if t is None:
+                del order[i + 1:]
+                return order, parent, path_to(parent, node) + (e,)
+            if t not in parent:
+                parent[t] = (node, e)
+                order.append(t)
+    return order, parent, None
+
+
+def path_to(parent: dict, node) -> tuple[str, ...]:
+    """The event string that :func:`explore` followed from its start to ``node``."""
+    path = []
+    while parent[node] is not None:
+        node, e = parent[node]
+        path.append(e)
+    return tuple(reversed(path))
+
+
+def backward_reachable(transitions: dict, targets: Iterable) -> set:
+    """Nodes of a ``(node, event) -> node`` map that can reach some target."""
+    preds: dict = {}
+    for (q, _e), t in transitions.items():
+        preds.setdefault(t, []).append(q)
+    seen = set(targets)
+    todo = list(seen)
+    while todo:
+        for p in preds.get(todo.pop(), ()):
+            if p not in seen:
+                seen.add(p)
+                todo.append(p)
+    return seen
+
+
 def is_sublanguage(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str, ...]]]:
     """Is L(a) a subset of L(b)?  On failure, a shortest witness in L(a)\\L(b).
 
@@ -270,23 +309,24 @@ def is_sublanguage(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str
         return True, None
     if b.initial is None:
         return False, ()
-    start = (a.initial, b.initial)
-    paths: dict[tuple[str, str], tuple[str, ...]] = {start: ()}
-    todo = deque([start])
-    while todo:
-        qa, qb = todo.popleft()
-        s = paths[(qa, qb)]
-        for e in a.alphabet.events:
+    events = a.alphabet.events
+
+    def step(node):
+        qa, qb = node
+        edges = []
+        for e in events:
             ta = a.transitions.get((qa, e))
             if ta is None:
                 continue
             tb = b.transitions.get((qb, e)) if e in b.alphabet else None
             if tb is None:
-                return False, s + (e,)
-            if (ta, tb) not in paths:
-                paths[(ta, tb)] = s + (e,)
-                todo.append((ta, tb))
-    return True, None
+                edges.append((e, None))
+                break
+            edges.append((e, (ta, tb)))
+        return edges
+
+    _, _, witness = explore((a.initial, b.initial), step)
+    return witness is None, witness
 
 
 # -- JSON model files -----------------------------------------------------

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
-from .automata import Alphabet, Automaton, empty_automaton
+from .automata import Alphabet, Automaton, empty_automaton, explore
 
 
 class ComposeError(ValueError):
@@ -30,6 +29,43 @@ def merged_alphabet(automata: Sequence[Automaton]) -> Alphabet:
     return Alphabet(tuple((e, flags[e]) for e in order))
 
 
+def product(automata: Sequence[Automaton], alphabet: Alphabet):
+    """Reachable synchronous product over tuples of component states.
+
+    Shared events synchronize and private ones interleave; ``alphabet`` fixes
+    the event order and so the breadth-first order of the product states.
+    Every component needs an initial state.  Returns ``(order, parent,
+    transitions)``: the product states and parent pointers as
+    :func:`~desctl.automata.explore` returns them, and the product
+    transition map ``(state, event) -> state``.
+    """
+    declaring = [(e, [(i, a.transitions) for i, a in enumerate(automata)
+                      if e in a.alphabet])
+                 for e in alphabet.events]
+    transitions: dict[tuple[tuple[str, ...], str], tuple[str, ...]] = {}
+    # One tuple per product state, shared by every edge into it.
+    canonical: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def step(cur):
+        edges = []
+        for e, movers in declaring:
+            nxt = list(cur)
+            for i, trans in movers:
+                t = trans.get((cur[i], e))
+                if t is None:
+                    break
+                nxt[i] = t
+            else:
+                tgt = tuple(nxt)
+                tgt = canonical.setdefault(tgt, tgt)
+                transitions[(cur, e)] = tgt
+                edges.append((e, tgt))
+        return edges
+
+    order, parent, _ = explore(tuple(a.initial for a in automata), step)
+    return order, parent, transitions
+
+
 def parallel(automata: Sequence[Automaton], delimiter: str = "|") -> Automaton:
     """Parallel composition: shared events synchronize, private ones interleave.
 
@@ -50,40 +86,18 @@ def parallel(automata: Sequence[Automaton], delimiter: str = "|") -> Automaton:
                 raise ComposeError(
                     f"state name {q!r} of {a.name!r} contains the delimiter {delimiter!r}"
                 )
-    declaring = {e: [i for i, a in enumerate(automata) if e in a.alphabet]
-                 for e in alphabet.events}
-    init = tuple(a.initial for a in automata)
-    joined: dict[tuple[str, ...], str] = {init: delimiter.join(init)}
-    order = [init]
-    todo = deque([init])
-    trans: dict[tuple[str, str], str] = {}
-    while todo:
-        cur = todo.popleft()
-        for e in alphabet.events:
-            nxt = list(cur)
-            ok = True
-            for i in declaring[e]:
-                t = automata[i].transitions.get((cur[i], e))
-                if t is None:
-                    ok = False
-                    break
-                nxt[i] = t
-            if not ok:
-                continue
-            tgt = tuple(nxt)
-            if tgt not in joined:
-                joined[tgt] = delimiter.join(tgt)
-                order.append(tgt)
-                todo.append(tgt)
-            trans[(joined[cur], e)] = joined[tgt]
+    order, _, transitions = product(automata, alphabet)
+    joined = {q: delimiter.join(q) for q in order}
+    trans = {(joined[q], e): joined[t] for (q, e), t in transitions.items()}
+    del transitions  # free it before the Automaton copies ``trans``
     return Automaton(
         name=name,
         alphabet=alphabet,
-        states=tuple(joined[t] for t in order),
+        states=tuple(joined.values()),
         transitions=trans,
-        initial=joined[init],
-        marked=tuple(joined[t] for t in order
-                     if all(a.is_marked(q) for a, q in zip(automata, t))),
+        initial=joined[order[0]],
+        marked=tuple(joined[q] for q in order
+                     if all(a.is_marked(x) for a, x in zip(automata, q))),
     )
 
 

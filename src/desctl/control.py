@@ -8,12 +8,11 @@ supervisor enable it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .automata import Automaton, empty_automaton
-from .compose import parallel
+from .automata import Automaton, backward_reachable, empty_automaton, explore, path_to
+from .compose import parallel, product
 
 
 class AlphabetError(ValueError):
@@ -59,14 +58,6 @@ def _require_subalphabet(plant: Automaton, sup: Automaton) -> None:
         )
 
 
-def _reflag_from_plant(plant: Automaton, sup: Automaton) -> Automaton:
-    """Controllability flags are owned by the plant alphabet."""
-    alph = sup.alphabet.reflagged(
-        e for e in sup.alphabet.events if not plant.alphabet.is_controllable(e)
-    )
-    return replace(sup, alphabet=alph)
-
-
 def closed_loop(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
                 delimiter: str = "|") -> Automaton:
     """Modular closed loop: plant composed with every supervisor.
@@ -80,7 +71,10 @@ def closed_loop(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
         _require_subalphabet(plant, s)
     if not sup_list:
         return plant
-    components = [plant] + [_reflag_from_plant(plant, s) for s in sup_list]
+    # Controllability flags are owned by the plant alphabet.
+    components = [plant] + [
+        replace(s, alphabet=s.alphabet.reflagged(plant.alphabet.uncontrollable))
+        for s in sup_list]
     while any(delimiter in q for a in components for q in a.states):
         delimiter += delimiter
     return parallel(components, delimiter=delimiter)
@@ -98,58 +92,54 @@ def check_controllability(plant: Automaton, sup: Automaton) -> ControllabilityRe
     _require_subalphabet(plant, sup)
     if plant.initial is None or sup.initial is None:
         return ControllabilityReport(True, None, 0)
-    start = (plant.initial, sup.initial)
-    paths: dict[tuple[str, str], tuple[str, ...]] = {start: ()}
-    todo = deque([start])
-    checked = 0
-    while todo:
-        qp, qs = todo.popleft()
-        s = paths[(qp, qs)]
-        checked += 1
-        for e in plant.alphabet.events:
+    events = plant.alphabet.events
+
+    def step(node):
+        qp, qs = node
+        edges = []
+        for e in events:
             tp = plant.transitions.get((qp, e))
             if tp is None:
                 continue
             if e not in sup.alphabet:
-                tgt = (tp, qs)
-            else:
-                ts = sup.transitions.get((qs, e))
-                if ts is None:
-                    if not plant.alphabet.is_controllable(e):
-                        return ControllabilityReport(False, (s, e), checked)
-                    continue
-                tgt = (tp, ts)
-            if tgt not in paths:
-                paths[tgt] = s + (e,)
-                todo.append(tgt)
-    return ControllabilityReport(True, None, checked)
+                edges.append((e, (tp, qs)))
+                continue
+            ts = sup.transitions.get((qs, e))
+            if ts is not None:
+                edges.append((e, (tp, ts)))
+            elif not plant.alphabet.is_controllable(e):
+                edges.append((e, None))
+                break
+        return edges
+
+    order, _, witness = explore((plant.initial, sup.initial), step)
+    if witness is None:
+        return ControllabilityReport(True, None, len(order))
+    return ControllabilityReport(False, (witness[:-1], witness[-1]), len(order))
 
 
 def check_nonconflicting(plant: Automaton,
                          sups: SupervisorSet | Sequence[Automaton]) -> ConflictReport:
     """Is the modular closed loop nonblocking?
 
-    On conflict, reports a shortest string reaching a state from which no
-    marked state is reachable.
+    Explores the product of the plant and every supervisor on tuples of
+    component states, without building the closed-loop automaton.  On
+    conflict, reports a shortest string reaching a state from which no
+    marked state is reachable, ties broken by plant-alphabet order.
     """
-    loop = closed_loop(plant, sups)
-    if loop.initial is None:
+    components = [plant] + list(sups)
+    for s in components[1:]:
+        _require_subalphabet(plant, s)
+    if any(a.initial is None for a in components):
         return ConflictReport(False, (), 0)
-    coreach = loop._backward_reachable(loop.marked)
-    paths: dict[str, tuple[str, ...]] = {loop.initial: ()}
-    todo = deque([loop.initial])
-    checked = 0
-    while todo:
-        q = todo.popleft()
-        checked += 1
+    order, parent, transitions = product(components, plant.alphabet)
+    coreach = backward_reachable(
+        transitions,
+        (q for q in order if all(a.is_marked(x) for a, x in zip(components, q))))
+    for checked, q in enumerate(order, start=1):
         if q not in coreach:
-            return ConflictReport(False, paths[q], checked)
-        for e in loop.alphabet.events:
-            t = loop.transitions.get((q, e))
-            if t is not None and t not in paths:
-                paths[t] = paths[q] + (e,)
-                todo.append(t)
-    return ConflictReport(True, None, checked)
+            return ConflictReport(False, path_to(parent, q), checked)
+    return ConflictReport(True, None, len(order))
 
 
 def supcon(plant: Automaton, spec: Automaton, delimiter: str = "|") -> Automaton:
@@ -164,34 +154,17 @@ def supcon(plant: Automaton, spec: Automaton, delimiter: str = "|") -> Automaton
     if plant.initial is None or spec.initial is None:
         return empty_automaton(name, plant.alphabet)
 
-    # Reachable product of (plant state, spec state) pairs.
-    start = (plant.initial, spec.initial)
-    states = [start]
-    seen = {start}
-    trans: dict[tuple[tuple[str, str], str], tuple[str, str]] = {}
-    todo = deque([start])
-    while todo:
-        qp, qs = todo.popleft()
-        for e in plant.alphabet.events:
-            tp = plant.transitions.get((qp, e))
-            if tp is None:
-                continue
-            if e in spec.alphabet:
-                ts = spec.transitions.get((qs, e))
-                if ts is None:
-                    continue
-            else:
-                ts = qs
-            tgt = (tp, ts)
-            trans[((qp, qs), e)] = tgt
-            if tgt not in seen:
-                seen.add(tgt)
-                states.append(tgt)
-                todo.append(tgt)
-
+    states, _, trans = product([plant, spec], plant.alphabet)
+    start = states[0]
     marked = {q for q in states if plant.is_marked(q[0]) and spec.is_marked(q[1])}
+    events = plant.alphabet.events
     uncontrollable = plant.alphabet.uncontrollable
     good = set(states)
+
+    def step(q):
+        return [(e, t) for e in events
+                if (t := trans.get((q, e))) is not None and t in good]
+
     while True:
         # Controllability: every plant-active uncontrollable event must keep
         # a surviving product transition.
@@ -207,27 +180,10 @@ def supcon(plant: Automaton, spec: Automaton, delimiter: str = "|") -> Automaton
         # Trim within the surviving set.
         if start not in good:
             return empty_automaton(name, plant.alphabet)
-        reach = {start}
-        todo = deque([start])
-        while todo:
-            q = todo.popleft()
-            for e in plant.alphabet.events:
-                t = trans.get((q, e))
-                if t is not None and t in good and t not in reach:
-                    reach.add(t)
-                    todo.append(t)
-        preds: dict[tuple[str, str], set[tuple[str, str]]] = {}
-        for (q, _e), t in trans.items():
-            if q in reach and t in reach:
-                preds.setdefault(t, set()).add(q)
-        coreach = set(t for t in marked if t in reach)
-        todo = deque(coreach)
-        while todo:
-            q = todo.popleft()
-            for p in preds.get(q, ()):
-                if p not in coreach:
-                    coreach.add(p)
-                    todo.append(p)
+        reach = set(explore(start, step)[0])
+        coreach = backward_reachable(
+            {k: t for k, t in trans.items() if k[0] in reach and t in reach},
+            (q for q in marked if q in reach))
         new_good = reach & coreach
         if not new_good:
             return empty_automaton(name, plant.alphabet)

@@ -16,11 +16,11 @@ marked language is the expression's denotation.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Alphabet, Automaton, empty_automaton
+from .automata import Alphabet, Automaton, empty_automaton, explore
 
 RESERVED = {"pc"}
 
@@ -258,10 +258,9 @@ class _Nfa:
 
     def closure(self, states: frozenset[int]) -> frozenset[int]:
         seen = set(states)
-        todo = deque(states)
+        todo = list(states)
         while todo:
-            q = todo.popleft()
-            for t in self.eps.get(q, ()):
+            for t in self.eps.get(todo.pop(), ()):
                 if t not in seen:
                     seen.add(t)
                     todo.append(t)
@@ -321,31 +320,29 @@ def _build_fragment(nfa: _Nfa, ast: Expr, alphabet: Alphabet) -> tuple[int, int]
 def _subset_construct(ast: Expr, alphabet: Alphabet) -> Automaton:
     nfa = _Nfa()
     start, accept = _build_fragment(nfa, ast, alphabet)
-    init = nfa.closure(frozenset({start}))
-    names: dict[frozenset[int], str] = {init: "d0"}
-    order = [init]
-    todo = deque([init])
-    trans: dict[tuple[str, str], str] = {}
-    while todo:
-        subset = todo.popleft()
+    edges: dict[tuple[frozenset[int], str], frozenset[int]] = {}
+
+    def step(subset):
+        out = []
         for e in alphabet.events:
             targets: set[int] = set()
             for q in subset:
                 targets |= nfa.trans.get((q, e), set())
-            if not targets:
-                continue
-            tgt = nfa.closure(frozenset(targets))
-            if tgt not in names:
-                names[tgt] = f"d{len(names)}"
-                order.append(tgt)
-                todo.append(tgt)
-            trans[(names[subset], e)] = names[tgt]
+            if targets:
+                tgt = nfa.closure(frozenset(targets))
+                edges[(subset, e)] = tgt
+                out.append((e, tgt))
+        return out
+
+    order, _, _ = explore(nfa.closure(frozenset({start})), step)
+    names = {s: f"d{i}" for i, s in enumerate(order)}
+    trans = {(names[s], e): names[t] for (s, e), t in edges.items()}
     return Automaton(
         name="spec",
         alphabet=alphabet,
         states=tuple(names[s] for s in order),
         transitions=trans,
-        initial=names[init],
+        initial=names[order[0]],
         marked=tuple(names[s] for s in order if accept in s),
     )
 
@@ -441,20 +438,21 @@ def equivalent(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str, ..
         return False, ()
     events = list(a.alphabet.events)
     events += [e for e in b.alphabet.events if e not in a.alphabet]
-    start = (a.initial, b.initial)
-    paths: dict[tuple[str, str], tuple[str, ...]] = {start: ()}
-    todo = deque([start])
-    while todo:
-        qa, qb = todo.popleft()
-        s = paths[(qa, qb)]
+
+    def step(node):
+        qa, qb = node
         if a.is_marked(qa) != b.is_marked(qb):
-            return False, s
+            return None
+        edges = []
         for e in events:
             ta = a.transitions.get((qa, e)) if e in a.alphabet else None
             tb = b.transitions.get((qb, e)) if e in b.alphabet else None
             if (ta is None) != (tb is None):
-                return False, s + (e,)
-            if ta is not None and (ta, tb) not in paths:
-                paths[(ta, tb)] = s + (e,)
-                todo.append((ta, tb))
-    return True, None
+                edges.append((e, None))
+                break
+            if ta is not None:
+                edges.append((e, (ta, tb)))
+        return edges
+
+    _, _, witness = explore((a.initial, b.initial), step)
+    return witness is None, witness

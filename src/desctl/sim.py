@@ -70,13 +70,9 @@ class RunReport:
     final_marked: bool
 
 
-def _sup_list(sups: SupervisorSet | Sequence[Automaton]) -> list[Automaton]:
-    return list(sups)
-
-
 def initial_configuration(plant: Automaton,
                           sups: SupervisorSet | Sequence[Automaton]) -> Configuration:
-    sup_list = _sup_list(sups)
+    sup_list = list(sups)
     for s in sup_list:
         _require_subalphabet(plant, s)
     if plant.initial is None or any(s.initial is None for s in sup_list):
@@ -96,7 +92,7 @@ def _check_configuration(plant: Automaton, sup_list: list[Automaton],
 def enabled(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
             cfg: Configuration) -> tuple[str, ...]:
     """Events enabled by the plant and every declaring supervisor."""
-    sup_list = _sup_list(sups)
+    sup_list = list(sups)
     _check_configuration(plant, sup_list, cfg)
     out = []
     for e in plant.alphabet.events:
@@ -111,7 +107,7 @@ def enabled(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
 def fire(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
          cfg: Configuration, e: str) -> Configuration:
     """Advance the plant and every declaring supervisor on ``e``."""
-    sup_list = _sup_list(sups)
+    sup_list = list(sups)
     _check_configuration(plant, sup_list, cfg)
     if e not in plant.alphabet:
         raise BadQueryError(f"unknown event {e!r}")
@@ -132,9 +128,8 @@ def fire(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
 
 def is_marked(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
               cfg: Configuration) -> bool:
-    sup_list = _sup_list(sups)
     return plant.is_marked(cfg.plant_state) and all(
-        s.is_marked(q) for s, q in zip(sup_list, cfg.sup_states))
+        s.is_marked(q) for s, q in zip(sups, cfg.sup_states))
 
 
 def _count_completions(trace) -> dict[str, int]:
@@ -147,7 +142,7 @@ def run(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
     """Execute the closed loop under a policy for at most ``max_steps`` steps."""
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    sup_list = _sup_list(sups)
+    sup_list = list(sups)
     cfg = initial_configuration(plant, sup_list)
     trace: list[tuple[str, Configuration]] = []
     blocked_event: Optional[str] = None
@@ -230,7 +225,7 @@ def run(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
 def replay(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
            report: RunReport) -> bool:
     """Re-fire the trace and confirm every recorded step and count."""
-    sup_list = _sup_list(sups)
+    sup_list = list(sups)
     try:
         cfg = initial_configuration(plant, sup_list)
     except BadQueryError:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -61,9 +62,10 @@ class TestControllability:
         assert report.controllable and report.counterexample is None
 
     def test_supervisors_controllable_under_default_partition(self, plant):
-        for cat in (1, 2):
+        for cat, reachable in ((1, 5376), (2, 4224)):
             report = check_controllability(plant, fms.build_supervisor(cat))
             assert report.controllable
+            assert report.states_checked == reachable
 
     def test_supervisors_fail_under_alternate_partition(self, plant_alt):
         # Both supervisors declare C3.load but disable it at their initial
@@ -74,6 +76,7 @@ class TestControllability:
             report = check_controllability(plant_alt, sup)
             assert not report.controllable
             assert report.counterexample == ((), "C3.load")
+            assert report.states_checked == 1
 
     def test_counterexample_matches_enumeration_oracle(self, plant_alt):
         for cat in (1, 2):
@@ -132,6 +135,7 @@ class TestNonconflicting:
 
     def test_both_supervisors_agree_with_independent_oracle(self, plant, sups):
         report = check_nonconflicting(plant, sups)
+        assert report.states_checked == 11520
         verdict, witness = nonblocking_oracle(plant, list(sups), 10 ** 6)
         assert report.nonconflicting == verdict
         if not verdict:
@@ -149,6 +153,7 @@ class TestNonconflicting:
         report = check_nonconflicting(plant, [want_a, want_b])
         assert not report.nonconflicting
         assert report.counterexample == ()
+        assert report.states_checked == 1
         verdict, witness = nonblocking_oracle(plant, [want_a, want_b], 100)
         assert not verdict and witness == ()
 
@@ -160,8 +165,45 @@ class TestNonconflicting:
                 continue
             sup = random_automaton(rng, ["a", "b"], name="s")
             report = check_nonconflicting(plant, [sup])
-            verdict, _ = nonblocking_oracle(plant, [sup], 10 ** 6)
+            verdict, witness = nonblocking_oracle(plant, [sup], 10 ** 6)
             assert report.nonconflicting == verdict
+            # Breadth-first order over a, b, c is the oracle's (depth, path) order.
+            assert report.counterexample == witness
+
+
+def deep_chains(depth: int):
+    """A = a^depth u and B = a^depth, all states marked; u is uncontrollable."""
+    alph = Alphabet((("a", True), ("u", False)))
+    a_states = tuple(f"a{i}" for i in range(depth + 2))
+    a_trans = {(f"a{i}", "a"): f"a{i + 1}" for i in range(depth)}
+    a_trans[(f"a{depth}", "u")] = f"a{depth + 1}"
+    b_states = tuple(f"b{i}" for i in range(depth + 1))
+    b_trans = {(f"b{i}", "a"): f"b{i + 1}" for i in range(depth)}
+    return (Automaton("A", alph, a_states, a_trans, "a0", a_states),
+            Automaton("B", alph, b_states, b_trans, "b0", b_states))
+
+
+@pytest.mark.parametrize("check", ["equivalent", "is_sublanguage", "check_controllability"])
+def test_deep_chain_witness_in_bounded_memory(check):
+    # Witness search must not keep a full path per state: on a chain of
+    # 5,000 states that alone would take about 100 MB.
+    a, b = deep_chains(5000)
+    tracemalloc.start()
+    try:
+        if check == "check_controllability":
+            report = check_controllability(a, b)
+            assert not report.controllable
+            s, e = report.counterexample
+            witness = s + (e,)
+        else:
+            fn = equivalent if check == "equivalent" else is_sublanguage
+            ok, witness = fn(a, b)
+            assert not ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness == ("a",) * 5000 + ("u",)
+    assert peak < 10 * 2 ** 20
 
 
 class TestSupcon:
