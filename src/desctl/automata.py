@@ -201,19 +201,12 @@ class Automaton:
                                   (t for t in targets if t in self._state_set))
 
     def _restrict(self, keep: set[str]) -> "Automaton":
-        if self.initial is not None and self.initial not in keep:
+        if self.initial not in keep:
             return empty_automaton(self.name, self.alphabet)
-        return Automaton(
-            name=self.name,
-            alphabet=self.alphabet,
-            states=tuple(q for q in self.states if q in keep),
-            transitions={
-                (q, e): t for (q, e), t in self.transitions.items()
-                if q in keep and t in keep
-            },
-            initial=self.initial,
-            marked=tuple(q for q in self.marked if q in keep),
-        )
+        return from_nodes(
+            self.name, self.alphabet, (q for q in self.states if q in keep),
+            ((k, t) for k, t in self.transitions.items() if k[0] in keep and t in keep),
+            self.initial, (q for q in self.marked if q in keep), lambda _i, q: q)
 
     def accessible(self) -> "Automaton":
         """Keep only states reachable from the initial state."""
@@ -225,7 +218,10 @@ class Automaton:
 
     def trim(self) -> "Automaton":
         """Accessible and coaccessible part; empty automaton if nothing survives."""
-        return self.accessible().coaccessible()
+        # Every successor of a reachable state is reachable, so coreachability
+        # within the accessible part is plain coreachability.
+        return self._restrict(self._forward_reachable()
+                              & self._backward_reachable(self.marked))
 
     def is_nonblocking(self) -> bool:
         """Every accessible state can reach a marked state."""
@@ -242,6 +238,23 @@ class Automaton:
 def empty_automaton(name: str, alphabet: Alphabet) -> Automaton:
     return Automaton(name=name, alphabet=alphabet, states=(),
                      transitions={}, initial=None, marked=())
+
+
+def from_nodes(name: str, alphabet: Alphabet, nodes: Iterable, edges: Iterable,
+               initial, marked: Iterable, label: Callable) -> Automaton:
+    """The automaton over explored ``nodes``, with states named at the boundary.
+
+    ``label(i, node)`` names the i-th node; ``edges`` yields
+    ``((node, event), node)`` pairs and ``marked`` the marked nodes.  States,
+    transitions and marked states keep the order in which they are given.
+    """
+    names = {q: label(i, q) for i, q in enumerate(nodes)}
+    # The constructor's dict() consumes the generator, so the named map is
+    # built once rather than built and then copied.
+    return Automaton(name=name, alphabet=alphabet, states=tuple(names.values()),
+                     transitions=(((names[q], e), names[t]) for (q, e), t in edges),
+                     initial=names[initial],
+                     marked=tuple(names[q] for q in marked))
 
 
 # -- breadth-first search ------------------------------------------------
@@ -391,11 +404,12 @@ def automaton_from_dict(doc: dict, where: str = "model") -> Automaton:
 
 
 def load_automaton(path) -> Automaton:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"invalid JSON: {exc}", str(path)) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # RFC 8259: JSON exchanged between systems must be UTF-8.
+        raise ModelFormatError(f"invalid JSON: {exc}", str(path)) from None
     return automaton_from_dict(doc, where=str(path))
 
 

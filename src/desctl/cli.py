@@ -23,19 +23,12 @@ from .control import (AlphabetError, check_controllability,
 
 INPUT_ERRORS = (ModelFormatError, ComposeError, AlphabetError, BadQueryError,
                 espec.SpecSyntaxError, espec.UnknownEventError, sim.ScriptError,
-                OSError)
+                OSError, UnicodeDecodeError)
 
 
 def _fail(message: str) -> "SystemExit":
     click.echo(f"desctl: {message}", err=True)
     return SystemExit(2)
-
-
-def _load(path: str) -> Automaton:
-    try:
-        return load_automaton(path)
-    except INPUT_ERRORS as exc:
-        raise _fail(str(exc))
 
 
 def _use_color() -> bool:
@@ -53,7 +46,17 @@ def _emit_json(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2))
 
 
-@click.group()
+class _Desctl(click.Group):
+    """The command group, and the one place where input errors become exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except INPUT_ERRORS as exc:
+            raise _fail(str(exc)) from None
+
+
+@click.group(cls=_Desctl)
 @click.version_option(__version__, prog_name="desctl")
 def main():
     """Supervisory-control toolkit for discrete-event systems."""
@@ -64,7 +67,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="JSON verdict on stdout.")
 def cmd_validate(model, as_json):
     """Check an automaton file against the structural invariants."""
-    a = _load(model)
+    a = load_automaton(model)
     diags = a.validate()
     if as_json:
         _emit_json({"valid": not diags, "diagnostics": diags})
@@ -84,11 +87,7 @@ def cmd_validate(model, as_json):
               help="Delimiter for composite state names.")
 def cmd_compose(models, output, delim):
     """Parallel composition of two or more automaton files."""
-    automata = [_load(m) for m in models]
-    try:
-        product = parallel(automata, delimiter=delim)
-    except ComposeError as exc:
-        raise _fail(str(exc))
+    product = parallel([load_automaton(m) for m in models], delimiter=delim)
     save_automaton(product, output)
     click.echo(f"{len(product.states)} states, {len(product.alphabet)} events "
                f"-> {output}")
@@ -102,14 +101,11 @@ def cmd_compose(models, output, delim):
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 def cmd_compile_spec(spec, alphabet_model, output):
     """Compile a spec expression file to a minimal trim automaton."""
-    alphabet = _load(alphabet_model).alphabet
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        compiled = espec.compile_text(text, alphabet,
-                                      name=os.path.splitext(os.path.basename(spec))[0])
-    except INPUT_ERRORS as exc:
-        raise _fail(str(exc))
+    alphabet = load_automaton(alphabet_model).alphabet
+    with open(spec, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    compiled = espec.compile_text(text, alphabet,
+                                  name=os.path.splitext(os.path.basename(spec))[0])
     save_automaton(compiled, output)
     click.echo(f"{len(compiled.states)} states -> {output}")
 
@@ -119,7 +115,7 @@ def cmd_compile_spec(spec, alphabet_model, output):
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 def cmd_minimize(model, output):
     """Minimize an automaton, preserving generated and marked languages."""
-    a = espec.minimize(_load(model))
+    a = espec.minimize(load_automaton(model))
     save_automaton(a, output)
     click.echo(f"{len(a.states)} states -> {output}")
 
@@ -130,7 +126,7 @@ def cmd_minimize(model, output):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_equivalent(model_a, model_b, as_json):
     """Are two automata language-equivalent (generated and marked)?"""
-    eq, witness = espec.equivalent(_load(model_a), _load(model_b))
+    eq, witness = espec.equivalent(load_automaton(model_a), load_automaton(model_b))
     if as_json:
         _emit_json({"equivalent": eq,
                     "distinguishing": None if eq else list(witness)})
@@ -148,7 +144,7 @@ def cmd_equivalent(model_a, model_b, as_json):
               help="Output file; stdout when omitted.")
 def cmd_export_dot(model, output):
     """Render an automaton as Graphviz DOT."""
-    text = dot.export_dot(_load(model))
+    text = dot.export_dot(load_automaton(model))
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -168,12 +164,9 @@ def _maybe_partition(a: Automaton, partition: str | None) -> Automaton:
 @click.option("--json", "as_json", is_flag=True)
 def cmd_check_ctrl(plant, sup, partition, as_json):
     """Verify a supervisor's controllability against a plant."""
-    plant_a = _maybe_partition(_load(plant), partition)
-    sup_a = _maybe_partition(_load(sup), partition)
-    try:
-        report = check_controllability(plant_a, sup_a)
-    except AlphabetError as exc:
-        raise _fail(str(exc))
+    plant_a = _maybe_partition(load_automaton(plant), partition)
+    sup_a = _maybe_partition(load_automaton(sup), partition)
+    report = check_controllability(plant_a, sup_a)
     if as_json:
         ce = None
         if report.counterexample is not None:
@@ -196,12 +189,8 @@ def cmd_check_ctrl(plant, sup, partition, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_check_conflict(plant, sups, as_json):
     """Check that the modular closed loop is nonblocking."""
-    plant_a = _load(plant)
-    sup_list = [_load(s) for s in sups]
-    try:
-        report = check_nonconflicting(plant_a, sup_list)
-    except (AlphabetError, ComposeError) as exc:
-        raise _fail(str(exc))
+    report = check_nonconflicting(load_automaton(plant),
+                                  [load_automaton(s) for s in sups])
     if as_json:
         _emit_json({"nonconflicting": report.nonconflicting,
                     "counterexample": None if report.nonconflicting
@@ -222,15 +211,12 @@ def cmd_check_conflict(plant, sups, as_json):
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 def cmd_synth(plant, spec_path, output):
     """Synthesize the supremal controllable supervisor for a spec."""
-    plant_a = _load(plant)
-    try:
-        with open(spec_path, "r", encoding="utf-8") as fh:
-            spec_a = espec.compile_text(
-                fh.read(), plant_a.alphabet,
-                name=os.path.splitext(os.path.basename(spec_path))[0])
-        result = supcon(plant_a, spec_a)
-    except INPUT_ERRORS as exc:
-        raise _fail(str(exc))
+    plant_a = load_automaton(plant)
+    with open(spec_path, "r", encoding="utf-8") as fh:
+        spec_a = espec.compile_text(
+            fh.read(), plant_a.alphabet,
+            name=os.path.splitext(os.path.basename(spec_path))[0])
+    result = supcon(plant_a, spec_a)
     save_automaton(result, output)
     note = " (empty: no controllable behavior)" if result.is_empty else ""
     click.echo(f"{len(result.states)} states -> {output}{note}")
@@ -252,8 +238,8 @@ def cmd_simulate(plant, sups, script_path, random_mode, interactive_mode,
     modes = sum(map(bool, (script_path, random_mode, interactive_mode)))
     if modes != 1:
         raise _fail("choose exactly one of --script, --random, --interactive")
-    plant_a = _load(plant)
-    sup_list = [_load(s) for s in sups]
+    plant_a = load_automaton(plant)
+    sup_list = [load_automaton(s) for s in sups]
     if script_path:
         with open(script_path, "r", encoding="utf-8") as fh:
             events = []
@@ -265,10 +251,7 @@ def cmd_simulate(plant, sups, script_path, random_mode, interactive_mode,
         policy = sim.Random(seed)
     else:
         policy = sim.Interactive()
-    try:
-        report = sim.run(plant_a, sup_list, policy, steps)
-    except INPUT_ERRORS as exc:
-        raise _fail(str(exc))
+    report = sim.run(plant_a, sup_list, policy, steps)
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(sim.report_to_json(report))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .automata import Alphabet, Automaton, empty_automaton, explore
+from .automata import Alphabet, Automaton, empty_automaton, explore, from_nodes
 
 
 class ComposeError(ValueError):
@@ -29,6 +29,47 @@ def merged_alphabet(automata: Sequence[Automaton]) -> Alphabet:
     return Alphabet(tuple((e, flags[e]) for e in order))
 
 
+def successors(automata: Sequence[Automaton], alphabet: Alphabet):
+    """The synchronous step rule on tuples of component states.
+
+    Returns ``step(cur)``, which lists ``(event, next)`` in ``alphabet``
+    order for every event that each component declaring it can take.  A
+    component that does not declare an event keeps its state.  Every event
+    of ``alphabet`` must be declared by some component.
+    """
+    # Most events are disabled by the first component that declares them, so
+    # that one is checked before the next tuple is allocated.
+    declaring = []
+    for e in alphabet.events:
+        (i0, first), *rest = [(i, a.transitions) for i, a in enumerate(automata)
+                              if e in a.alphabet]
+        declaring.append((e, i0, first, rest))
+
+    def step(cur):
+        edges = []
+        for e, i0, first, rest in declaring:
+            t = first.get((cur[i0], e))
+            if t is None:
+                continue
+            nxt = list(cur)
+            nxt[i0] = t
+            for i, trans in rest:
+                t = trans.get((cur[i], e))
+                if t is None:
+                    break
+                nxt[i] = t
+            else:
+                edges.append((e, tuple(nxt)))
+        return edges
+
+    return step
+
+
+def all_marked(automata: Sequence[Automaton], cur) -> bool:
+    """Is the tuple of component states marked, i.e. marked in every component?"""
+    return all(a.is_marked(x) for a, x in zip(automata, cur))
+
+
 def product(automata: Sequence[Automaton], alphabet: Alphabet):
     """Reachable synchronous product over tuples of component states.
 
@@ -39,30 +80,20 @@ def product(automata: Sequence[Automaton], alphabet: Alphabet):
     :func:`~desctl.automata.explore` returns them, and the product
     transition map ``(state, event) -> state``.
     """
-    declaring = [(e, [(i, a.transitions) for i, a in enumerate(automata)
-                      if e in a.alphabet])
-                 for e in alphabet.events]
+    step = successors(automata, alphabet)
     transitions: dict[tuple[tuple[str, ...], str], tuple[str, ...]] = {}
     # One tuple per product state, shared by every edge into it.
     canonical: dict[tuple[str, ...], tuple[str, ...]] = {}
 
-    def step(cur):
+    def record(cur):
         edges = []
-        for e, movers in declaring:
-            nxt = list(cur)
-            for i, trans in movers:
-                t = trans.get((cur[i], e))
-                if t is None:
-                    break
-                nxt[i] = t
-            else:
-                tgt = tuple(nxt)
-                tgt = canonical.setdefault(tgt, tgt)
-                transitions[(cur, e)] = tgt
-                edges.append((e, tgt))
+        for e, tgt in step(cur):
+            tgt = canonical.setdefault(tgt, tgt)
+            transitions[(cur, e)] = tgt
+            edges.append((e, tgt))
         return edges
 
-    order, parent, _ = explore(tuple(a.initial for a in automata), step)
+    order, parent, _ = explore(tuple(a.initial for a in automata), record)
     return order, parent, transitions
 
 
@@ -86,19 +117,11 @@ def parallel(automata: Sequence[Automaton], delimiter: str = "|") -> Automaton:
                 raise ComposeError(
                     f"state name {q!r} of {a.name!r} contains the delimiter {delimiter!r}"
                 )
-    order, _, transitions = product(automata, alphabet)
-    joined = {q: delimiter.join(q) for q in order}
-    trans = {(joined[q], e): joined[t] for (q, e), t in transitions.items()}
-    del transitions  # free it before the Automaton copies ``trans``
-    return Automaton(
-        name=name,
-        alphabet=alphabet,
-        states=tuple(joined.values()),
-        transitions=trans,
-        initial=joined[order[0]],
-        marked=tuple(joined[q] for q in order
-                     if all(a.is_marked(x) for a, x in zip(automata, q))),
-    )
+    order, parent, transitions = product(automata, alphabet)
+    del parent  # only witnesses need it; freed before the states are named
+    return from_nodes(name, alphabet, order, transitions.items(), order[0],
+                      (q for q in order if all_marked(automata, q)),
+                      lambda _i, q: delimiter.join(q))
 
 
 def project(trace: Sequence[str], alphabet: Alphabet) -> tuple[str, ...]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .automata import Automaton, backward_reachable, empty_automaton, explore, path_to
-from .compose import parallel, product
+from .automata import (Automaton, backward_reachable, empty_automaton, explore,
+                       from_nodes, path_to)
+from .compose import all_marked, parallel, product, successors
 
 
 class AlphabetError(ValueError):
@@ -92,27 +93,19 @@ def check_controllability(plant: Automaton, sup: Automaton) -> ControllabilityRe
     _require_subalphabet(plant, sup)
     if plant.initial is None or sup.initial is None:
         return ControllabilityReport(True, None, 0)
-    events = plant.alphabet.events
+    step = successors([plant, sup], plant.alphabet)
+    guarded = [e for e in plant.alphabet.uncontrollable if e in sup.alphabet]
 
-    def step(node):
+    def check(node):
+        edges = step(node)
         qp, qs = node
-        edges = []
-        for e in events:
-            tp = plant.transitions.get((qp, e))
-            if tp is None:
-                continue
-            if e not in sup.alphabet:
-                edges.append((e, (tp, qs)))
-                continue
-            ts = sup.transitions.get((qs, e))
-            if ts is not None:
-                edges.append((e, (tp, ts)))
-            elif not plant.alphabet.is_controllable(e):
+        for e in guarded:
+            if (qp, e) in plant.transitions and (qs, e) not in sup.transitions:
                 edges.append((e, None))
                 break
         return edges
 
-    order, _, witness = explore((plant.initial, sup.initial), step)
+    order, _, witness = explore((plant.initial, sup.initial), check)
     if witness is None:
         return ControllabilityReport(True, None, len(order))
     return ControllabilityReport(False, (witness[:-1], witness[-1]), len(order))
@@ -134,8 +127,7 @@ def check_nonconflicting(plant: Automaton,
         return ConflictReport(False, (), 0)
     order, parent, transitions = product(components, plant.alphabet)
     coreach = backward_reachable(
-        transitions,
-        (q for q in order if all(a.is_marked(x) for a, x in zip(components, q))))
+        transitions, (q for q in order if all_marked(components, q)))
     for checked, q in enumerate(order, start=1):
         if q not in coreach:
             return ConflictReport(False, path_to(parent, q), checked)
@@ -156,7 +148,7 @@ def supcon(plant: Automaton, spec: Automaton, delimiter: str = "|") -> Automaton
 
     states, _, trans = product([plant, spec], plant.alphabet)
     start = states[0]
-    marked = {q for q in states if plant.is_marked(q[0]) and spec.is_marked(q[1])}
+    marked = {q for q in states if all_marked([plant, spec], q)}
     events = plant.alphabet.events
     uncontrollable = plant.alphabet.uncontrollable
     good = set(states)
@@ -191,15 +183,7 @@ def supcon(plant: Automaton, spec: Automaton, delimiter: str = "|") -> Automaton
             break
         good = new_good
 
-    names = {q: f"{q[0]}{delimiter}{q[1]}" for q in states if q in good}
-    return Automaton(
-        name=name,
-        alphabet=plant.alphabet,
-        states=tuple(names[q] for q in states if q in good),
-        transitions={
-            (names[q], e): names[t]
-            for (q, e), t in trans.items() if q in good and t in good
-        },
-        initial=names[start],
-        marked=tuple(names[q] for q in states if q in good and q in marked),
-    )
+    return from_nodes(name, plant.alphabet, (q for q in states if q in good),
+                      ((k, t) for k, t in trans.items() if k[0] in good and t in good),
+                      start, (q for q in states if q in good and q in marked),
+                      lambda _i, q: delimiter.join(q))

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Alphabet, Automaton, empty_automaton, explore
+from .automata import Alphabet, Automaton, empty_automaton, explore, from_nodes
 
 RESERVED = {"pc"}
 
@@ -91,41 +91,6 @@ def leaves(ast: Expr) -> list[str]:
     if isinstance(ast, (Star, PrefClose)):
         return leaves(ast.child)
     return []
-
-
-def _canon_key(ast: Expr):
-    if isinstance(ast, Epsilon):
-        return ("eps",)
-    if isinstance(ast, Sym):
-        return ("sym", ast.event)
-    if isinstance(ast, Concat):
-        return ("cat",) + tuple(_canon_key(p) for p in ast.parts)
-    if isinstance(ast, Union):
-        return ("alt",) + tuple(_canon_key(p) for p in ast.parts)
-    if isinstance(ast, Star):
-        return ("star", _canon_key(ast.child))
-    return ("pc", _canon_key(ast.child))
-
-
-def normalize(ast: Expr) -> Expr:
-    """Flatten nested unions and sort their children canonically."""
-    if isinstance(ast, Concat):
-        return Concat(tuple(normalize(p) for p in ast.parts))
-    if isinstance(ast, Union):
-        flat: list[Expr] = []
-        for p in ast.parts:
-            p = normalize(p)
-            if isinstance(p, Union):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        flat.sort(key=_canon_key)
-        return Union(tuple(flat))
-    if isinstance(ast, Star):
-        return Star(normalize(ast.child))
-    if isinstance(ast, PrefClose):
-        return PrefClose(normalize(ast.child))
-    return ast
 
 
 # -- parser ---------------------------------------------------------------
@@ -335,16 +300,8 @@ def _subset_construct(ast: Expr, alphabet: Alphabet) -> Automaton:
         return out
 
     order, _, _ = explore(nfa.closure(frozenset({start})), step)
-    names = {s: f"d{i}" for i, s in enumerate(order)}
-    trans = {(names[s], e): names[t] for (s, e), t in edges.items()}
-    return Automaton(
-        name="spec",
-        alphabet=alphabet,
-        states=tuple(names[s] for s in order),
-        transitions=trans,
-        initial=names[order[0]],
-        marked=tuple(names[s] for s in order if accept in s),
-    )
+    return from_nodes("spec", alphabet, order, edges.items(), order[0],
+                      (s for s in order if accept in s), lambda i, _s: f"d{i}")
 
 
 def minimize(a: Automaton) -> Automaton:
@@ -376,50 +333,31 @@ def minimize(a: Automaton) -> Automaton:
     members: dict[int, list[str]] = defaultdict(list)
     for q in a.states:  # state order fixes member and block order
         members[block[q]].append(q)
-    name_of = {b: (qs[0] if len(qs) == 1 else "+".join(qs)) for b, qs in members.items()}
-    seen: set[int] = set()
-    ordered_blocks = []
-    for q in a.states:
-        if block[q] not in seen:
-            seen.add(block[q])
-            ordered_blocks.append(block[q])
-    trans: dict[tuple[str, str], str] = {}
-    for b in ordered_blocks:
-        rep = members[b][0]
-        for e in a.alphabet.events:
-            t = a.transitions.get((rep, e))
-            if t is not None:
-                trans[(name_of[b], e)] = name_of[block[t]]
-    return Automaton(
-        name=a.name,
-        alphabet=a.alphabet,
-        states=tuple(name_of[b] for b in ordered_blocks),
-        transitions=trans,
-        initial=name_of[block[a.initial]],
-        marked=tuple(name_of[b] for b in ordered_blocks
-                     if a.is_marked(members[b][0])),
-    )
+    # Each block is represented by its first member; names join all members.
+    rep = {b: qs[0] for b, qs in members.items()}
+    return from_nodes(
+        a.name, a.alphabet, rep.values(),
+        (((r, e), rep[block[t]]) for r in rep.values() for e in a.alphabet.events
+         if (t := a.transitions.get((r, e))) is not None),
+        rep[block[a.initial]], (r for r in rep.values() if a.is_marked(r)),
+        lambda _i, r: "+".join(members[block[r]]))
 
 
 def compile(ast: Expr, alphabet: Alphabet, name: str = "spec") -> Automaton:
     """Compile an expression into a trim, minimal DFA over ``alphabet``.
 
     The marked language of the result is the expression's denotation; the
-    generated language is its prefix closure.
+    generated language is its prefix closure.  States are named ``s1``,
+    ``s2``, ... in breadth-first order of the minimal DFA, so the result does
+    not depend on how the expression is written (e.g. on the order of union
+    terms).
     """
-    dfa = _subset_construct(normalize(ast), alphabet).trim()
+    dfa = _subset_construct(ast, alphabet).trim()
     if dfa.is_empty:
         return empty_automaton(name, alphabet)
     dfa = minimize(dfa)
-    relabel = {q: f"s{i + 1}" for i, q in enumerate(dfa.states)}
-    return Automaton(
-        name=name,
-        alphabet=alphabet,
-        states=tuple(relabel[q] for q in dfa.states),
-        transitions={(relabel[q], e): relabel[t] for (q, e), t in dfa.transitions.items()},
-        initial=relabel[dfa.initial],
-        marked=tuple(relabel[q] for q in dfa.marked),
-    )
+    return from_nodes(name, alphabet, dfa.states, dfa.transitions.items(), dfa.initial,
+                      dfa.marked, lambda i, _q: f"s{i + 1}")
 
 
 def compile_text(text: str, alphabet: Alphabet, name: str = "spec") -> Automaton:

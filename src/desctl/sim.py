@@ -1,10 +1,11 @@
 """Step-by-step execution of the modular closed loop.
 
 The simulator steps the plant and each supervisor as separate component
-automata; it never builds the composed product.  Random runs use Python's
-``random.Random`` (Mersenne Twister) seeded with the policy seed and pick
-uniformly over the enabled set in plant-alphabet declaration order, so a
-given seed reproduces the same trace on every platform.
+automata, with the step rule that composition uses; it never builds the
+composed product.  Random runs use Python's ``random.Random`` (Mersenne
+Twister) seeded with the policy seed and pick uniformly over the enabled set
+in plant-alphabet declaration order, so a given seed reproduces the same
+trace on every platform.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .automata import Automaton, BadQueryError
+from .compose import all_marked, successors
 from .control import SupervisorSet, _require_subalphabet
 
 COMPLETION_EVENTS = {"1": "A.done1", "2": "A.done2"}
@@ -94,14 +96,8 @@ def enabled(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
     """Events enabled by the plant and every declaring supervisor."""
     sup_list = list(sups)
     _check_configuration(plant, sup_list, cfg)
-    out = []
-    for e in plant.alphabet.events:
-        if (cfg.plant_state, e) not in plant.transitions:
-            continue
-        if all((q, e) in s.transitions
-               for s, q in zip(sup_list, cfg.sup_states) if e in s.alphabet):
-            out.append(e)
-    return tuple(out)
+    step = successors([plant, *sup_list], plant.alphabet)
+    return tuple(e for e, _ in step((cfg.plant_state, *cfg.sup_states)))
 
 
 def fire(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
@@ -111,25 +107,24 @@ def fire(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
     _check_configuration(plant, sup_list, cfg)
     if e not in plant.alphabet:
         raise BadQueryError(f"unknown event {e!r}")
-    plant_next = plant.transitions.get((cfg.plant_state, e))
-    if plant_next is None:
-        raise NotEnabledError(e, "plant")
-    sup_next = []
-    for s, q in zip(sup_list, cfg.sup_states):
-        if e in s.alphabet:
-            t = s.transitions.get((q, e))
-            if t is None:
-                raise NotEnabledError(e, s.name)
-            sup_next.append(t)
-        else:
-            sup_next.append(q)
-    return Configuration(plant_next, tuple(sup_next))
+    components = [plant, *sup_list]
+    cur = (cfg.plant_state, *cfg.sup_states)
+    nxt = dict(successors(components, plant.alphabet)(cur)).get(e)
+    if nxt is None:
+        names = ["plant"] + [s.name for s in sup_list]
+        for name, a, q in zip(names, components, cur):
+            if e in a.alphabet and (q, e) not in a.transitions:
+                raise NotEnabledError(e, name)
+    return _configuration(nxt)
 
 
 def is_marked(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
               cfg: Configuration) -> bool:
-    return plant.is_marked(cfg.plant_state) and all(
-        s.is_marked(q) for s, q in zip(sups, cfg.sup_states))
+    return all_marked([plant, *sups], (cfg.plant_state, *cfg.sup_states))
+
+
+def _configuration(cur: tuple[str, ...]) -> Configuration:
+    return Configuration(cur[0], cur[1:])
 
 
 def _count_completions(trace) -> dict[str, int]:
@@ -144,6 +139,9 @@ def run(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
         raise ValueError("max_steps must be >= 0")
     sup_list = list(sups)
     cfg = initial_configuration(plant, sup_list)
+    components = [plant, *sup_list]
+    step = successors(components, plant.alphabet)
+    cur = (cfg.plant_state, *cfg.sup_states)
     trace: list[tuple[str, Configuration]] = []
     blocked_event: Optional[str] = None
 
@@ -153,30 +151,30 @@ def run(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
                 raise ScriptError(f"scripted event {e!r} is not in the plant alphabet")
         requested = min(len(policy.events), max_steps)
         for e in policy.events[:requested]:
-            if e not in enabled(plant, sup_list, cfg):
+            nxt = dict(step(cur)).get(e)
+            if nxt is None:
                 blocked_event = e
                 break
-            cfg = fire(plant, sup_list, cfg, e)
-            trace.append((e, cfg))
+            cur = nxt
+            trace.append((e, _configuration(cur)))
     elif isinstance(policy, Random):
         rng = random.Random(policy.seed)
         requested = max_steps
         for _ in range(max_steps):
-            choices = enabled(plant, sup_list, cfg)
+            choices = step(cur)
             if not choices:
                 break
-            e = choices[rng.randrange(len(choices))]
-            cfg = fire(plant, sup_list, cfg, e)
-            trace.append((e, cfg))
+            e, cur = choices[rng.randrange(len(choices))]
+            trace.append((e, _configuration(cur)))
     elif isinstance(policy, Interactive):
         requested = max_steps
-        history = [cfg]
+        history = [cur]
         while len(trace) < max_steps:
-            choices = enabled(plant, sup_list, cfg)
+            choices = step(cur)
             if not choices:
                 policy.write("deadlock: no enabled events")
                 break
-            for i, e in enumerate(choices, start=1):
+            for i, (e, _) in enumerate(choices, start=1):
                 policy.write(f"  {i}. {e}")
             try:
                 line = policy.read("> ").strip()
@@ -185,40 +183,40 @@ def run(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
             if line == "quit":
                 break
             if line == "state":
-                policy.write(f"plant: {cfg.plant_state}")
-                for s, q in zip(sup_list, cfg.sup_states):
+                policy.write(f"plant: {cur[0]}")
+                for s, q in zip(sup_list, cur[1:]):
                     policy.write(f"{s.name}: {q}")
                 continue
             if line == "undo":
                 if trace:
                     trace.pop()
                     history.pop()
-                    cfg = history[-1]
+                    cur = history[-1]
                 else:
                     policy.write("nothing to undo")
                 continue
             try:
                 idx = int(line)
-                e = choices[idx - 1]
-            except (ValueError, IndexError):
+            except ValueError:
+                idx = 0  # not a number: reprompt below
+            if not 1 <= idx <= len(choices):
                 policy.write(f"choose 1..{len(choices)}, undo, state or quit")
                 continue
-            cfg = fire(plant, sup_list, cfg, e)
-            trace.append((e, cfg))
-            history.append(cfg)
+            e, cur = choices[idx - 1]
+            trace.append((e, _configuration(cur)))
+            history.append(cur)
     else:
         raise TypeError(f"unknown policy {policy!r}")
 
     steps = len(trace)
-    final_enabled = enabled(plant, sup_list, cfg)
-    deadlocked = not final_enabled and steps < requested
+    deadlocked = not step(cur) and steps < requested
     return RunReport(
         trace=tuple(trace),
         steps_taken=steps,
         deadlocked=deadlocked,
         blocked_event=blocked_event,
         completions=_count_completions(trace),
-        final_marked=is_marked(plant, sup_list, cfg),
+        final_marked=all_marked(components, cur),
     )
 
 
@@ -230,15 +228,16 @@ def replay(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
         cfg = initial_configuration(plant, sup_list)
     except BadQueryError:
         return False
+    components = [plant, *sup_list]
+    step = successors(components, plant.alphabet)
+    cur = (cfg.plant_state, *cfg.sup_states)
     for e, recorded in report.trace:
-        if e not in enabled(plant, sup_list, cfg):
-            return False
-        cfg = fire(plant, sup_list, cfg, e)
-        if cfg != recorded:
+        cur = dict(step(cur)).get(e)
+        if cur is None or _configuration(cur) != recorded:
             return False
     return (report.steps_taken == len(report.trace)
             and report.completions == _count_completions(report.trace)
-            and report.final_marked == is_marked(plant, sup_list, cfg))
+            and report.final_marked == all_marked(components, cur))
 
 
 # -- report serialization -------------------------------------------------

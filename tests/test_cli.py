@@ -257,3 +257,29 @@ class TestExportDot:
                                       "-o", str(out)])
         assert result.exit_code == 0
         assert out.read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("case", ["compose", "minimize", "export-dot", "simulate",
+                                  "validate-latin1", "compile-spec-latin1"])
+def test_input_errors_exit_two_with_one_line(runner, corpus, tmp_path, case):
+    # Unwritable output paths and undecodable model files are input errors:
+    # one diagnostic line and exit 2, never a traceback (which exits 1).
+    c1, nodir = str(corpus / "C1.json"), tmp_path / "nodir"
+    args = {
+        "compose": ["compose", c1, str(corpus / "C2.json"),
+                    "-o", str(nodir / "x.json")],
+        "minimize": ["minimize", c1, "-o", str(nodir / "y.json")],
+        "export-dot": ["export-dot", c1, "-o", str(nodir / "y.dot")],
+        "simulate": ["simulate", "--plant", c1, "--random", "--steps", "3",
+                     "--report", str(nodir / "r.json")],
+        "validate-latin1": ["validate", str(tmp_path / "latin1.json")],
+        "compile-spec-latin1": ["compile-spec", str(tmp_path / "latin1.expr"),
+                                "--alphabet", c1, "-o", str(tmp_path / "k.json")],
+    }[case]
+    (tmp_path / "latin1.json").write_bytes('{"name": "é"}'.encode("latin-1"))
+    (tmp_path / "latin1.expr").write_bytes("C1.load  # é\n".encode("latin-1"))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("desctl: ")
+    assert "Traceback" not in result.output

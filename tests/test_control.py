@@ -206,6 +206,20 @@ def test_deep_chain_witness_in_bounded_memory(check):
     assert peak < 10 * 2 ** 20
 
 
+def test_trim_of_a_trim_automaton_copies_it_once(plant, sups):
+    # closed_loop(G, [S1, S2]) is already trim (11,520 states, 96,448
+    # transitions); trimming it must build one restricted copy, not two.
+    loop = closed_loop(plant, sups)
+    tracemalloc.start()
+    try:
+        trimmed = loop.trim()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trimmed.states == loop.states
+    assert peak < 20 * 2 ** 20
+
+
 class TestSupcon:
     def test_full_behavior_is_supremal(self, plant):
         result = supcon(plant, plant)

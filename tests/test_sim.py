@@ -203,9 +203,10 @@ class TestInteractive:
         assert "nothing to undo" in outputs
 
     def test_bad_input_reprompts(self, plant, sups):
-        report, outputs = self._drive(plant, sups, ["99", "banana", "quit"])
+        report, outputs = self._drive(plant, sups,
+                                      ["99", "banana", "0", "-1", "quit"])
         assert report.steps_taken == 0
-        assert sum("choose 1.." in line for line in outputs) == 2
+        assert sum("choose 1.." in line for line in outputs) == 4
 
     def test_eof_ends_the_run(self, plant, sups):
         def read(_prompt):
