@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 EVENT_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9._]*\Z")
@@ -152,11 +153,16 @@ class Automaton:
                 diags.append(f"transition ({q!r}, {e!r}): event not in alphabet")
         return diags
 
+    def edges(self, q: str) -> list[tuple[str, str]]:
+        """Out-edges ``(event, target)`` of ``q`` in alphabet order; ``q`` is unchecked."""
+        return [(e, t) for e in self.alphabet.events
+                if (t := self.transitions.get((q, e))) is not None]
+
     def active(self, q: str) -> tuple[str, ...]:
         """Active-event set at ``q``, in alphabet order."""
         if q not in self._state_set:
             raise BadQueryError(f"unknown state {q!r}")
-        return tuple(e for e in self.alphabet.events if (q, e) in self.transitions)
+        return tuple(e for e, _ in self.edges(q))
 
     def step(self, q: str, e: str) -> Optional[str]:
         """Target of the transition on ``e`` from ``q``, or None if undefined."""
@@ -187,13 +193,7 @@ class Automaton:
     def _forward_reachable(self) -> set[str]:
         if self.initial is None or self.initial not in self._state_set:
             return set()
-        events = self.alphabet.events
-
-        def step(q):
-            return [(e, t) for e in events
-                    if (t := self.transitions.get((q, e))) is not None]
-
-        order, _, _ = explore(self.initial, step)
+        order, _, _ = explore(self.initial, self.edges)
         return set(order)
 
     def _backward_reachable(self, targets: Iterable[str]) -> set[str]:
@@ -322,15 +322,11 @@ def is_sublanguage(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str
         return True, None
     if b.initial is None:
         return False, ()
-    events = a.alphabet.events
 
     def step(node):
         qa, qb = node
         edges = []
-        for e in events:
-            ta = a.transitions.get((qa, e))
-            if ta is None:
-                continue
+        for e, ta in a.edges(qa):
             tb = b.transitions.get((qb, e)) if e in b.alphabet else None
             if tb is None:
                 edges.append((e, None))
@@ -351,13 +347,28 @@ def automaton_to_dict(a: Automaton) -> dict:
         "states": list(a.states),
         "initial": a.initial,
         "marked": list(a.marked),
-        "transitions": [
-            {"from": q, "on": e, "to": t}
-            for (q, e), t in sorted(a.transitions.items(),
-                                    key=lambda kv: (a.states.index(kv[0][0]),
-                                                    a.alphabet.events.index(kv[0][1])))
-        ],
+        "transitions": [{"from": q, "on": e, "to": t}
+                        for q in a.states for e, t in a.edges(q)],
     }
+
+
+_JSON_KINDS = {str: "a string", list: "a list", bool: "true or false"}
+
+
+def _expect(value, kind: type, where: str):
+    """``value`` if it is of the JSON type ``kind``; ModelFormatError otherwise."""
+    if not isinstance(value, kind):
+        raise ModelFormatError(
+            f"expected {_JSON_KINDS[kind]}, found {type(value).__name__}", where)
+    return value
+
+
+def _expect_strings(values: list, where: str) -> None:
+    # One pass at C speed, and locations formatted only on failure: models
+    # can have many states.
+    if not all(map(isinstance, values, repeat(str))):
+        for i, v in enumerate(values):
+            _expect(v, str, f"{where}[{i}]")
 
 
 def automaton_from_dict(doc: dict, where: str = "model") -> Automaton:
@@ -366,17 +377,28 @@ def automaton_from_dict(doc: dict, where: str = "model") -> Automaton:
     for key in ("name", "events", "states", "initial", "marked", "transitions"):
         if key not in doc:
             raise ModelFormatError(f"missing field {key!r}", where)
+    name = _expect(doc["name"], str, f"{where}.name")
+    for key in ("events", "states", "marked", "transitions"):
+        _expect(doc[key], list, f"{where}.{key}")
+    entries = []
+    for i, ev in enumerate(doc["events"]):
+        loc = f"{where}.events[{i}]"
+        if not isinstance(ev, dict) or "id" not in ev or "controllable" not in ev:
+            raise ModelFormatError("each event needs 'id' and 'controllable'", loc)
+        entries.append((ev["id"], _expect(ev["controllable"], bool, f"{loc}.controllable")))
     try:
-        alphabet = Alphabet(tuple((ev["id"], ev["controllable"]) for ev in doc["events"]))
-    except (TypeError, KeyError):
-        raise ModelFormatError("each event needs 'id' and 'controllable'", f"{where}.events")
+        alphabet = Alphabet(tuple(entries))
+    except ModelFormatError as exc:
+        raise ModelFormatError(str(exc), f"{where}.events") from None
+    _expect_strings(doc["states"], f"{where}.states")
     states = tuple(doc["states"])
     state_set = set(states)
     if len(state_set) != len(states):
         raise ModelFormatError("duplicate state names", f"{where}.states")
-    initial = doc["initial"]
-    if states and initial not in state_set:
+    initial = doc["initial"] if states else None
+    if states and _expect(initial, str, f"{where}.initial") not in state_set:
         raise ModelFormatError(f"initial state {initial!r} not in states", f"{where}.initial")
+    _expect_strings(doc["marked"], f"{where}.marked")
     marked = []
     for i, q in enumerate(doc["marked"]):
         if q not in state_set:
@@ -389,18 +411,22 @@ def automaton_from_dict(doc: dict, where: str = "model") -> Automaton:
             src, on, dst = row["from"], row["on"], row["to"]
         except (TypeError, KeyError):
             raise ModelFormatError("each transition needs 'from', 'on', 'to'", loc)
-        if src not in state_set:
-            raise ModelFormatError(f"unknown state {src!r}", loc)
-        if dst not in state_set:
-            raise ModelFormatError(f"unknown state {dst!r}", loc)
-        if on not in alphabet:
-            raise ModelFormatError(f"unknown event {on!r}", loc)
+        # States and event ids are strings, so a value of another JSON type
+        # is unknown, or unhashable if it is a list or an object.
+        try:
+            if src not in state_set:
+                raise ModelFormatError(f"unknown state {src!r}", loc)
+            if dst not in state_set:
+                raise ModelFormatError(f"unknown state {dst!r}", loc)
+            if on not in alphabet:
+                raise ModelFormatError(f"unknown event {on!r}", loc)
+        except TypeError:
+            raise ModelFormatError("'from', 'on' and 'to' must be strings", loc) from None
         if (src, on) in transitions:
             raise ModelFormatError(f"duplicate transition on {on!r} from {src!r}", loc)
         transitions[(src, on)] = dst
-    return Automaton(name=doc["name"], alphabet=alphabet, states=states,
-                     transitions=transitions, initial=initial if states else None,
-                     marked=tuple(marked))
+    return Automaton(name=name, alphabet=alphabet, states=states,
+                     transitions=transitions, initial=initial, marked=tuple(marked))
 
 
 def load_automaton(path) -> Automaton:

@@ -59,13 +59,12 @@ def _require_subalphabet(plant: Automaton, sup: Automaton) -> None:
         )
 
 
-def closed_loop(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
-                delimiter: str = "|") -> Automaton:
+def closed_loop(plant: Automaton, sups: SupervisorSet | Sequence[Automaton]) -> Automaton:
     """Modular closed loop: plant composed with every supervisor.
 
     Events outside every supervisor alphabet are constrained by the plant
-    alone.  When the plant is itself a composition whose state names contain
-    the delimiter, the delimiter is repeated until it is collision-free.
+    alone.  State names join the component names with ``|``, repeated until
+    no component state name contains it.
     """
     sup_list = list(sups)
     for s in sup_list:
@@ -76,6 +75,7 @@ def closed_loop(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
     components = [plant] + [
         replace(s, alphabet=s.alphabet.reflagged(plant.alphabet.uncontrollable))
         for s in sup_list]
+    delimiter = "|"
     while any(delimiter in q for a in components for q in a.states):
         delimiter += delimiter
     return parallel(components, delimiter=delimiter)
@@ -134,7 +134,7 @@ def check_nonconflicting(plant: Automaton,
     return ConflictReport(True, None, len(order))
 
 
-def supcon(plant: Automaton, spec: Automaton, delimiter: str = "|") -> Automaton:
+def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     """Supremal controllable sublanguage of plant || spec, as a trim automaton.
 
     Iteratively deletes states where an uncontrollable plant-active event has
@@ -142,7 +142,7 @@ def supcon(plant: Automaton, spec: Automaton, delimiter: str = "|") -> Automaton
     Returns the canonical empty automaton when nothing survives.
     """
     _require_subalphabet(plant, spec)
-    name = f"{plant.name}{delimiter}{spec.name}"
+    name = f"{plant.name}|{spec.name}"
     if plant.initial is None or spec.initial is None:
         return empty_automaton(name, plant.alphabet)
 
@@ -186,4 +186,4 @@ def supcon(plant: Automaton, spec: Automaton, delimiter: str = "|") -> Automaton
     return from_nodes(name, plant.alphabet, (q for q in states if q in good),
                       ((k, t) for k, t in trans.items() if k[0] in good and t in good),
                       start, (q for q in states if q in good and q in marked),
-                      lambda _i, q: delimiter.join(q))
+                      lambda _i, q: "|".join(q))

@@ -20,10 +20,7 @@ def export_dot(a: Automaton) -> str:
     if a.initial is not None:
         lines.append(f"  __init -> {_quote(a.initial)};")
     for q in a.states:
-        for e in a.alphabet.events:
-            t = a.transitions.get((q, e))
-            if t is None:
-                continue
+        for e, t in a.edges(q):
             style = "" if a.alphabet.is_controllable(e) else ", style=dashed"
             lines.append(f"  {_quote(q)} -> {_quote(t)} [label={_quote(e)}{style}];")
     lines.append("}")

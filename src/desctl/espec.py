@@ -23,6 +23,9 @@ from typing import Optional
 from .automata import Alphabet, Automaton, empty_automaton, explore, from_nodes
 
 RESERVED = {"pc"}
+# Groups nest at most this deep.  The parser and the passes over the AST
+# recurse a few frames per level, so much deeper input overflows the stack.
+MAX_NESTING = 100
 
 
 class SpecSyntaxError(ValueError):
@@ -141,6 +144,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -168,25 +172,32 @@ class _Parser:
 
     def factor(self) -> Expr:
         atom = self.atom()
-        while self.peek().kind == "*":
+        if self.peek().kind != "*":
+            return atom
+        while self.peek().kind == "*":  # x** denotes the same language as x*
             self.take("*")
-            atom = Star(atom)
-        return atom
+        return Star(atom)
+
+    def group(self, opening: _Token) -> Expr:
+        """``'(' expr ')'``, where ``opening`` is the token that opens the group."""
+        if self.depth == MAX_NESTING:
+            raise SpecSyntaxError(f"groups nested deeper than {MAX_NESTING} levels",
+                                  opening.line, opening.col)
+        self.depth += 1
+        self.take("(")
+        inner = self.expr()
+        self.take(")")
+        self.depth -= 1
+        return inner
 
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "(":
-            self.take("(")
-            inner = self.expr()
-            self.take(")")
-            return inner
+            return self.group(tok)
         if tok.kind == "IDENT":
             self.take("IDENT")
             if tok.value == "pc":
-                self.take("(")
-                inner = self.expr()
-                self.take(")")
-                return PrefClose(inner)
+                return PrefClose(self.group(tok))
             return Sym(tok.value)
         what = "end of input" if tok.kind == "EOF" else repr(tok.value)
         raise SpecSyntaxError(f"expected an event id or '(', found {what}",
@@ -337,8 +348,7 @@ def minimize(a: Automaton) -> Automaton:
     rep = {b: qs[0] for b, qs in members.items()}
     return from_nodes(
         a.name, a.alphabet, rep.values(),
-        (((r, e), rep[block[t]]) for r in rep.values() for e in a.alphabet.events
-         if (t := a.transitions.get((r, e))) is not None),
+        (((r, e), rep[block[t]]) for r in rep.values() for e, t in a.edges(r)),
         rep[block[a.initial]], (r for r in rep.values() if a.is_marked(r)),
         lambda _i, r: "+".join(members[block[r]]))
 

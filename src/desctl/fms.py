@@ -119,12 +119,8 @@ def apply_partition(a: Automaton, partition: str) -> Automaton:
 
     Events outside the corpus keep their existing flag.
     """
-    uc = _UNCONTROLLABLE[partition]
-    entries = tuple(
-        (e, e not in uc) if e in EVENT_IDS else (e, c)
-        for e, c in a.alphabet.entries
-    )
-    return replace(a, alphabet=Alphabet(entries))
+    return replace(a, alphabet=a.alphabet.reflagged(
+        _UNCONTROLLABLE[partition] | (set(a.alphabet.uncontrollable) - EVENT_IDS)))
 
 
 def build(kind: str, partition: str = "sec28") -> Automaton:

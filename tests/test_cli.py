@@ -260,10 +260,12 @@ class TestExportDot:
 
 
 @pytest.mark.parametrize("case", ["compose", "minimize", "export-dot", "simulate",
-                                  "validate-latin1", "compile-spec-latin1"])
+                                  "validate-latin1", "compile-spec-latin1",
+                                  "compile-spec-deep-parens", "compile-spec-deep-pc"])
 def test_input_errors_exit_two_with_one_line(runner, corpus, tmp_path, case):
-    # Unwritable output paths and undecodable model files are input errors:
-    # one diagnostic line and exit 2, never a traceback (which exits 1).
+    # Unwritable output paths, undecodable model files and specs nested too
+    # deep are input errors: one diagnostic line and exit 2, never a
+    # traceback (which exits 1).
     c1, nodir = str(corpus / "C1.json"), tmp_path / "nodir"
     args = {
         "compose": ["compose", c1, str(corpus / "C2.json"),
@@ -275,9 +277,51 @@ def test_input_errors_exit_two_with_one_line(runner, corpus, tmp_path, case):
         "validate-latin1": ["validate", str(tmp_path / "latin1.json")],
         "compile-spec-latin1": ["compile-spec", str(tmp_path / "latin1.expr"),
                                 "--alphabet", c1, "-o", str(tmp_path / "k.json")],
+        "compile-spec-deep-parens": ["compile-spec", str(tmp_path / "parens.expr"),
+                                     "--alphabet", c1, "-o", str(tmp_path / "k.json")],
+        "compile-spec-deep-pc": ["compile-spec", str(tmp_path / "pc.expr"),
+                                 "--alphabet", c1, "-o", str(tmp_path / "k.json")],
     }[case]
     (tmp_path / "latin1.json").write_bytes('{"name": "é"}'.encode("latin-1"))
     (tmp_path / "latin1.expr").write_bytes("C1.load  # é\n".encode("latin-1"))
+    (tmp_path / "parens.expr").write_text("(" * 3000 + "C1.load" + ")" * 3000)
+    (tmp_path / "pc.expr").write_text("pc(" * 300 + "C1.load" + ")" * 300)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("desctl: ")
+    assert "Traceback" not in result.output
+
+
+_MODEL = {"name": "N", "events": [{"id": "a", "controllable": True}],
+          "states": ["p", "q"], "initial": "p", "marked": ["p"],
+          "transitions": [{"from": "p", "on": "a", "to": "q"}]}
+
+
+@pytest.mark.parametrize("fields", [
+    {"name": 7},
+    {"states": 5},
+    {"states": [["p"], "q"]},
+    {"states": [0, 1], "initial": 0, "marked": [0],
+     "transitions": [{"from": 0, "on": "a", "to": 1}]},
+    {"initial": ["p"]},
+    {"marked": None},
+    {"marked": [["p"]]},
+    {"events": {"a": True}},
+    {"events": [{"id": "a", "controllable": "no"}]},
+    {"transitions": "p a q"},
+    {"transitions": [{"from": ["p"], "on": "a", "to": "q"}]},
+    {"transitions": [{"from": "p", "on": 1, "to": "q"}]},
+    {"transitions": [{"from": "p", "on": "a", "to": None}]},
+], ids=lambda fields: ",".join(f"{k}={v!r}" for k, v in fields.items()))
+@pytest.mark.parametrize("command", ["validate", "compose"])
+def test_mistyped_model_fields_exit_two_with_one_line(runner, corpus, tmp_path,
+                                                      fields, command):
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps({**_MODEL, **fields}))
+    args = {"validate": ["validate", str(model)],
+            "compose": ["compose", str(model), str(corpus / "C1.json"),
+                        "-o", str(tmp_path / "out.json")]}[command]
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert len(result.stderr.splitlines()) == 1

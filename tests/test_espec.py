@@ -55,6 +55,17 @@ class TestParse:
         with pytest.raises(SpecSyntaxError):
             parse("(a b")
 
+    def test_nesting_capped_at_the_opening_token(self):
+        n = espec.MAX_NESTING
+        assert compile_text("pc(" * n + "a b" + ")" * n, ABC) == compile_text("pc(a b)", ABC)
+        assert parse("(" * n + "a" + ")" * n) == Sym("a")
+        with pytest.raises(SpecSyntaxError) as err:
+            parse("(" * (n + 1) + "a" + ")" * (n + 1))
+        assert (err.value.line, err.value.col) == (1, n + 1)
+
+    def test_repeated_star_is_one_star(self):
+        assert parse("a***") == Star(Sym("a"))
+
 
 class TestCompile:
     def test_two_state_cycle(self):
@@ -92,6 +103,9 @@ class TestCompile:
         for _ in range(25):
             a = espec.compile(random_ast(rng, list("abcde")), FIVE)
             assert len(minimize(a).states) == len(a.states)
+
+    def test_long_star_run_compiles_like_one_star(self):
+        assert compile_text("a" + "*" * 3000, ABC) == compile_text("a*", ABC)
 
     def test_union_order_independent(self):
         x = espec.compile(parse("a b + c"), ABC)

@@ -1,19 +1,22 @@
 """Byte-identity goldens: digests of outputs whose exact bytes are a contract.
 
-Each digest was recorded before the composition, analysis, spec and simulator
-modules were moved onto one shared step rule and one automaton builder; a
-refactor that changes state naming, state or transition order, or a trace
-changes the digest.
+Each digest was recorded before a refactor of the code that produces it: the
+move of composition, analysis, spec and simulator modules onto one shared step
+rule and one automaton builder, and the move of model files, DOT export and
+minimization onto one out-edge walk.  A refactor that changes state naming,
+state or transition order, or a trace changes the digest.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from desctl import espec, fms, sim
-from desctl.automata import Alphabet, automaton_to_dict
-from desctl.control import supcon
+from desctl.automata import Alphabet, Automaton, automaton_to_dict, save_automaton
+from desctl.control import closed_loop, supcon
+from desctl.dot import export_dot
 
 
 def _digest(text: str) -> str:
@@ -27,6 +30,11 @@ def _model_digest(a) -> str:
 @pytest.fixture(scope="module")
 def plant():
     return fms.build_total()
+
+
+@pytest.fixture(scope="module")
+def loop(plant):
+    return closed_loop(plant, [fms.build_supervisor(1), fms.build_supervisor(2)])
 
 
 def test_seeded_random_run_report(plant):
@@ -54,3 +62,33 @@ def test_supcon_of_spec_over_its_own_events(plant):
     assert len(result.states) == 4992
     assert _model_digest(result) == (
         "cbcf7e9fd42fc6e3ec332ae4fe6ed9c49976b0809a02aa02707acbbf54f7be99")
+
+
+def test_closed_loop_model(loop):
+    assert _model_digest(loop) == (
+        "6bc329b0484307fb1fbd622c2e9c8c420d6f6a8929d1258709c9cfe46f5b771a")
+
+
+def test_closed_loop_dot(loop):
+    assert _digest(export_dot(loop)) == (
+        "287e6001fc2210e04cbf4b4d6bc1b397cab37c23c22b350926429cadc03ffc97")
+
+
+def test_minimized_closed_loop(loop):
+    assert _model_digest(espec.minimize(loop)) == (
+        "acc70e30b37527a14991a05582c6ae95ceac4cff6a4a1efa4bf87f4975a09f55")
+
+
+def test_saved_rows_follow_state_then_alphabet_order(tmp_path):
+    # Declaration order, not lexical order and not the order in which the
+    # transition map was filled.
+    states, events = ("z", "x", "y"), ("b", "c", "a")
+    rows = [(q, e, states[(i + j) % 3]) for i, q in enumerate(states)
+            for j, e in enumerate(events) if (i, j) != (1, 1)]
+    shuffled = random.Random(7).sample(rows, len(rows))
+    assert shuffled != rows
+    a = Automaton("shuffled", Alphabet(tuple((e, e != "c") for e in events)), states,
+                  {(q, e): t for q, e, t in shuffled}, "z", ("y",))
+    save_automaton(a, tmp_path / "a.json")
+    saved = json.loads((tmp_path / "a.json").read_text())["transitions"]
+    assert [(r["from"], r["on"], r["to"]) for r in saved] == rows
