@@ -433,8 +433,9 @@ def load_automaton(path) -> Automaton:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        # RFC 8259: JSON exchanged between systems must be UTF-8.
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RFC 8259: JSON exchanged between systems must be UTF-8.  The decoder
+        # recurses once per nesting level, so very deep nesting overflows.
         raise ModelFormatError(f"invalid JSON: {exc}", str(path)) from None
     return automaton_from_dict(doc, where=str(path))
 

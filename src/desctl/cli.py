@@ -17,7 +17,7 @@ import click
 from . import __version__, dot, espec, fms, sim
 from .automata import (Automaton, BadQueryError, ModelFormatError,
                        load_automaton, save_automaton)
-from .compose import ComposeError, parallel
+from .compose import ComposeError, free_delimiter, parallel
 from .control import (AlphabetError, check_controllability,
                       check_nonconflicting, supcon)
 
@@ -83,11 +83,14 @@ def cmd_validate(model, as_json):
 @click.argument("models", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@click.option("--delim", default="|", show_default=True,
-              help="Delimiter for composite state names.")
+@click.option("--delim", help="Delimiter for composite state names; by default '|', "
+              "doubled until no component state name contains it.")
 def cmd_compose(models, output, delim):
     """Parallel composition of two or more automaton files."""
-    product = parallel([load_automaton(m) for m in models], delimiter=delim)
+    automata = [load_automaton(m) for m in models]
+    if delim is None:
+        delim = free_delimiter(automata)
+    product = parallel(automata, delimiter=delim)
     save_automaton(product, output)
     click.echo(f"{len(product.states)} states, {len(product.alphabet)} events "
                f"-> {output}")

@@ -97,6 +97,14 @@ def product(automata: Sequence[Automaton], alphabet: Alphabet):
     return order, parent, transitions
 
 
+def free_delimiter(automata: Sequence[Automaton]) -> str:
+    """``|``, doubled until no component state name contains it."""
+    delimiter = "|"
+    while any(delimiter in q for a in automata for q in a.states):
+        delimiter += delimiter
+    return delimiter
+
+
 def parallel(automata: Sequence[Automaton], delimiter: str = "|") -> Automaton:
     """Parallel composition: shared events synchronize, private ones interleave.
 

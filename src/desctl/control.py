@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .automata import (Automaton, backward_reachable, empty_automaton, explore,
                        from_nodes, path_to)
-from .compose import all_marked, parallel, product, successors
+from .compose import all_marked, free_delimiter, parallel, product, successors
 
 
 class AlphabetError(ValueError):
@@ -75,10 +75,7 @@ def closed_loop(plant: Automaton, sups: SupervisorSet | Sequence[Automaton]) -> 
     components = [plant] + [
         replace(s, alphabet=s.alphabet.reflagged(plant.alphabet.uncontrollable))
         for s in sup_list]
-    delimiter = "|"
-    while any(delimiter in q for a in components for q in a.states):
-        delimiter += delimiter
-    return parallel(components, delimiter=delimiter)
+    return parallel(components, delimiter=free_delimiter(components))
 
 
 def check_controllability(plant: Automaton, sup: Automaton) -> ControllabilityReport:
@@ -137,9 +134,12 @@ def check_nonconflicting(plant: Automaton,
 def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     """Supremal controllable sublanguage of plant || spec, as a trim automaton.
 
-    Iteratively deletes states where an uncontrollable plant-active event has
-    no surviving product transition, then re-trims, until a fixpoint.
-    Returns the canonical empty automaton when nothing survives.
+    Each round deletes the states where an uncontrollable plant-active event
+    has no surviving product transition, together with every state that
+    reaches them by uncontrollable product transitions (the uncontrollable
+    attractor), and then re-trims.  The number of rounds is the number of
+    alternations between controllability and blocking.  Returns the canonical
+    empty automaton when nothing survives.
     """
     _require_subalphabet(plant, spec)
     name = f"{plant.name}|{spec.name}"
@@ -150,8 +150,9 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     start = states[0]
     marked = {q for q in states if all_marked([plant, spec], q)}
     events = plant.alphabet.events
-    uncontrollable = plant.alphabet.uncontrollable
+    uncontrollable = set(plant.alphabet.uncontrollable)
     good = set(states)
+    uncontrollable_trans = None  # built on the first deletion; most runs have none
 
     def step(q):
         return [(e, t) for e in events
@@ -168,7 +169,15 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
                     if t is None or t not in good:
                         bad.add(q)
                         break
-        good -= bad
+        if bad:
+            if uncontrollable_trans is None:
+                uncontrollable_trans = {k: t for k, t in trans.items()
+                                        if k[1] in uncontrollable}
+            # The uncontrollable attractor: a state with an uncontrollable
+            # string into a bad state is bad too.  Walking through states
+            # deleted in earlier rounds adds nothing, because a good state
+            # with an uncontrollable edge out of good is in bad already.
+            good -= backward_reachable(uncontrollable_trans, bad)
         # Trim within the surviving set.
         if start not in good:
             return empty_automaton(name, plant.alphabet)

@@ -318,39 +318,62 @@ def _subset_construct(ast: Expr, alphabet: Alphabet) -> Automaton:
 def minimize(a: Automaton) -> Automaton:
     """Minimal DFA with the same generated and marked languages.
 
-    Partition refinement over the partial transition map; "undefined" is its
-    own signature entry, so the generated language is preserved exactly and
-    no sink state is ever introduced.  Merged states are named by joining
-    their members with '+'.
+    Hopcroft's partition refinement (1971) for partial transition maps
+    (Valmari & Lehtinen, 2008), O(T log N) on the N reachable states and
+    their T transitions.  "Undefined" is never a block, so the generated
+    language is preserved exactly and no sink state is ever introduced.
+    Merged states are named by joining their members with '+' in state order.
     """
-    a = a.accessible()
-    if a.is_empty:
-        return a
-    block: dict[str, int] = {q: (0 if a.is_marked(q) else 1) for q in a.states}
-    while True:
-        sigs: dict[tuple, int] = {}
-        new_block: dict[str, int] = {}
-        for q in a.states:
-            sig = (block[q],) + tuple(
-                block.get(a.transitions.get((q, e)), -1) for e in a.alphabet.events
-            )
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new_block[q] = sigs[sig]
-        if len(sigs) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
-    members: dict[int, list[str]] = defaultdict(list)
-    for q in a.states:  # state order fixes member and block order
-        members[block[q]].append(q)
+    if a.initial is None or not a.has_state(a.initial):
+        return empty_automaton(a.name, a.alphabet)
+    reach = set(explore(a.initial, a.edges)[0])
+    states = [q for q in a.states if q in reach]
+    n = len(states)
+    ids = {q: i for i, q in enumerate(states)}
+    event_ids = {e: k for k, e in enumerate(a.alphabet.events)}
+    # preds[t] packs each transition (p, e) -> t as event_id * n + p.
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for p, q in enumerate(states):
+        for e, t in a.edges(q):
+            preds[ids[t]].append(event_ids[e] * n + p)
+    block = [0 if a.is_marked(q) else 1 for q in states]
+    parts = [{i for i, b in enumerate(block) if b == k} for k in (0, 1)]
+    # With a partial map no initial block may be skipped: "undefined" must be
+    # told apart from "defined into the other block".
+    work = [b for b in (0, 1) if parts[b]]
+    while work:
+        by_event: dict[int, list[int]] = defaultdict(list)
+        for t in parts[work.pop()]:
+            for x in preds[t]:
+                by_event[x // n].append(x % n)
+        for hit_states in by_event.values():
+            touched: dict[int, list[int]] = defaultdict(list)
+            for p in hit_states:
+                touched[block[p]].append(p)
+            for b, hit in touched.items():
+                old = parts[b]
+                if len(hit) == len(old):
+                    continue
+                # The smaller part moves to a new block, so each state moves
+                # at most log N times; queueing the new block is Hopcroft's rule
+                # (a queued block keeps its place under its old id).
+                moved = set(hit) if 2 * len(hit) <= len(old) else old.difference(hit)
+                old -= moved
+                new = len(parts)
+                parts.append(moved)
+                for p in moved:
+                    block[p] = new
+                work.append(new)
+    del preds, parts  # the bulk of the peak; freed before the result is built
+    members: dict[int, list[str]] = {}
+    for q, b in zip(states, block):  # state order fixes member and block order
+        members.setdefault(b, []).append(q)
     # Each block is represented by its first member; names join all members.
-    rep = {b: qs[0] for b, qs in members.items()}
     return from_nodes(
-        a.name, a.alphabet, rep.values(),
-        (((r, e), rep[block[t]]) for r in rep.values() for e, t in a.edges(r)),
-        rep[block[a.initial]], (r for r in rep.values() if a.is_marked(r)),
-        lambda _i, r: "+".join(members[block[r]]))
+        a.name, a.alphabet, members,
+        (((b, e), block[ids[t]]) for b, qs in members.items() for e, t in a.edges(qs[0])),
+        block[ids[a.initial]], (b for b, qs in members.items() if a.is_marked(qs[0])),
+        lambda _i, b: "+".join(members[b]))
 
 
 def compile(ast: Expr, alphabet: Alphabet, name: str = "spec") -> Automaton:

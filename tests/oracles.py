@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from dataclasses import replace
 from functools import lru_cache
 
 from desctl import espec
@@ -114,6 +115,34 @@ def walk_generated(a: Automaton, word) -> bool:
         if q is None:
             return False
     return True
+
+
+# -- minimality by enumeration --------------------------------------------
+
+def nerode_classes(a: Automaton) -> set[frozenset[str]]:
+    """The reachable states of ``a``, grouped by their futures.
+
+    Two states are equivalent iff every word up to length n, the state
+    count, is generated from both or from neither and marked from both or
+    from neither.  A shortest word telling two states apart is shorter.
+    """
+    if a.initial is None:
+        return set()
+    reach = {a.initial}
+    todo = [a.initial]
+    while todo:
+        q = todo.pop()
+        for (p, _e), t in a.transitions.items():
+            if p == q and t not in reach:
+                reach.add(t)
+                todo.append(t)
+    words = list(all_strings(a.alphabet.events, len(a.states)))
+    classes: dict[tuple, set[str]] = {}
+    for q in reach:
+        from_q = replace(a, initial=q)
+        future = tuple((walk_generated(from_q, w), walk_marked(from_q, w)) for w in words)
+        classes.setdefault(future, set()).add(q)
+    return {frozenset(c) for c in classes.values()}
 
 
 # -- random instances ------------------------------------------------------

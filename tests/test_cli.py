@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from desctl import fms
 from desctl.automata import load_automaton
 from desctl.cli import main
+from desctl.control import closed_loop
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +78,18 @@ class TestCompose:
         assert result.exit_code == 0
         assert "4 states, 4 events" in result.output
         assert len(load_automaton(out).states) == 4
+
+    def test_default_delimiter_doubles_on_a_collision(self, runner, corpus, tmp_path):
+        # G_total's state names already join the machine states with '|'.
+        models = [str(corpus / f) for f in ("G_total.json", "S1.json", "S2.json")]
+        out = tmp_path / "loop.json"
+        result = runner.invoke(main, ["compose", *models, "-o", str(out)])
+        assert result.exit_code == 0
+        loop = closed_loop(fms.build_total(), [fms.build_supervisor(1),
+                                               fms.build_supervisor(2)])
+        assert load_automaton(out).states == loop.states
+        result = runner.invoke(main, ["compose", *models, "--delim", "|", "-o", str(out)])
+        assert result.exit_code == 2
 
     def test_flag_conflict_exits_two(self, runner, corpus, tmp_path):
         g2 = corpus / "G_total_sec2.json"
@@ -261,11 +274,13 @@ class TestExportDot:
 
 @pytest.mark.parametrize("case", ["compose", "minimize", "export-dot", "simulate",
                                   "validate-latin1", "compile-spec-latin1",
-                                  "compile-spec-deep-parens", "compile-spec-deep-pc"])
+                                  "compile-spec-deep-parens", "compile-spec-deep-pc",
+                                  "validate-deep-array", "validate-deep-name",
+                                  "compose-deep-array", "compose-deep-name"])
 def test_input_errors_exit_two_with_one_line(runner, corpus, tmp_path, case):
-    # Unwritable output paths, undecodable model files and specs nested too
-    # deep are input errors: one diagnostic line and exit 2, never a
-    # traceback (which exits 1).
+    # Unwritable output paths, undecodable model files, and models or specs
+    # nested too deep are input errors: one diagnostic line and exit 2, never
+    # a traceback (which exits 1).
     c1, nodir = str(corpus / "C1.json"), tmp_path / "nodir"
     args = {
         "compose": ["compose", c1, str(corpus / "C2.json"),
@@ -281,11 +296,20 @@ def test_input_errors_exit_two_with_one_line(runner, corpus, tmp_path, case):
                                      "--alphabet", c1, "-o", str(tmp_path / "k.json")],
         "compile-spec-deep-pc": ["compile-spec", str(tmp_path / "pc.expr"),
                                  "--alphabet", c1, "-o", str(tmp_path / "k.json")],
+        "validate-deep-array": ["validate", str(tmp_path / "array.json")],
+        "validate-deep-name": ["validate", str(tmp_path / "name.json")],
+        "compose-deep-array": ["compose", str(tmp_path / "array.json"), c1,
+                               "-o", str(tmp_path / "x.json")],
+        "compose-deep-name": ["compose", c1, str(tmp_path / "name.json"),
+                              "-o", str(tmp_path / "x.json")],
     }[case]
     (tmp_path / "latin1.json").write_bytes('{"name": "é"}'.encode("latin-1"))
     (tmp_path / "latin1.expr").write_bytes("C1.load  # é\n".encode("latin-1"))
     (tmp_path / "parens.expr").write_text("(" * 3000 + "C1.load" + ")" * 3000)
     (tmp_path / "pc.expr").write_text("pc(" * 300 + "C1.load" + ")" * 300)
+    deep = "[" * 200_000 + "]" * 200_000
+    (tmp_path / "array.json").write_text(deep)
+    (tmp_path / "name.json").write_text('{"name": ' + deep + "}")
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert len(result.stderr.splitlines()) == 1

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -292,6 +293,30 @@ class TestSupcon:
             if sub:
                 assert ok, witness
                 done += 1
+
+    @pytest.mark.parametrize("prefix", [0, 10_000])
+    def test_uncontrollable_chain_in_linear_time(self, prefix):
+        # Plant p0 -c-> ... -c-> p(m) -u-> ... -u-> p(n), every state marked,
+        # with m = prefix; the spec stops one u short.  Every product state
+        # from p(m) on has an uncontrollable string into the disabled last u,
+        # so exactly the m states before it survive.  Deleting one state per
+        # round, with a reach and coreach each, is quadratic here.
+        n = 20_000
+        alph = Alphabet((("c", True), ("u", False)))
+        word = "c" * prefix + "u" * (n - prefix)
+
+        def chain(name, word):
+            states = [f"{name}{i}" for i in range(len(word) + 1)]
+            return Automaton(name, alph, states,
+                             {(states[i], e): states[i + 1] for i, e in enumerate(word)},
+                             states[0], states)
+
+        plant, spec = chain("p", word), chain("k", word[:-1])
+        start = time.monotonic()
+        result = supcon(plant, spec)
+        assert time.monotonic() - start < 10.0
+        assert len(result.states) == prefix
+        assert result.is_empty == (prefix == 0)
 
     def test_alphabet_violation(self):
         spec = Automaton("k", Alphabet((("zz", True),)), ("q",), {}, "q", ("q",))

@@ -1,13 +1,16 @@
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
 from desctl import espec, fms
-from desctl.automata import Alphabet
+from desctl.automata import Alphabet, Automaton
 from desctl.espec import (Concat, PrefClose, SpecSyntaxError, Star, Sym,
                           Union, UnknownEventError, compile_text, equivalent,
                           minimize, parse)
-from oracles import all_strings, ast_matches, random_ast, random_automaton, walk_marked
+from oracles import (all_strings, ast_matches, nerode_classes, random_ast, random_automaton,
+                     walk_marked)
 
 ABC = Alphabet((("a", True), ("b", True), ("c", True)))
 FIVE = Alphabet(tuple((e, True) for e in "abcde"))
@@ -159,6 +162,38 @@ class TestMinimize:
             m = minimize(a)
             eq, witness = equivalent(a, m)
             assert eq, witness
+
+    def test_blocks_are_the_nerode_classes(self):
+        # The blocks read back from the '+'-joined names must be exactly the
+        # brute-force classes, members in state order and blocks ordered by
+        # their first member.  An unmarked dead end and an unmarked state
+        # whose only edge leads to it differ on the generated language.
+        rng = random.Random(27)
+        cases = [Automaton("t", Alphabet((("a", True),)), ("q0", "q1"),
+                           {("q0", "a"): "q1"}, "q0", ())]
+        for _ in range(150):
+            a = random_automaton(rng, ["a", "b", "c"], max_states=6)
+            cases += [a, replace(a, marked=()), replace(a, marked=a.states)]
+        for a in cases:
+            blocks = [name.split("+") for name in minimize(a).states]
+            assert {frozenset(b) for b in blocks} == nerode_classes(a)
+            order = {q: i for i, q in enumerate(a.states)}
+            assert all(b == sorted(b, key=order.get) for b in blocks)
+            firsts = [order[b[0]] for b in blocks]
+            assert firsts == sorted(firsts)
+
+    def test_long_chain_in_linear_time(self):
+        # Marked only at its end, every state of the chain is its own block;
+        # refinement that splits off one state per round is quadratic here.
+        n = 20_000
+        states = [f"q{i}" for i in range(n + 1)]
+        a = Automaton("chain", Alphabet((("a", True),)), states,
+                      {(states[i], "a"): states[i + 1] for i in range(n)},
+                      "q0", states[-1:])
+        start = time.monotonic()
+        m = minimize(a)
+        assert time.monotonic() - start < 10.0
+        assert len(m.states) == n + 1
 
     def test_no_sink_completion(self):
         # A dead-end state must survive minimization: the generated language
