@@ -197,16 +197,17 @@ class Automaton:
         return set(order)
 
     def _backward_reachable(self, targets: Iterable[str]) -> set[str]:
-        return backward_reachable(self.transitions,
+        return backward_reachable(predecessors(self.transitions.items()),
                                   (t for t in targets if t in self._state_set))
 
     def _restrict(self, keep: set[str]) -> "Automaton":
         if self.initial not in keep:
             return empty_automaton(self.name, self.alphabet)
-        return from_nodes(
-            self.name, self.alphabet, (q for q in self.states if q in keep),
-            ((k, t) for k, t in self.transitions.items() if k[0] in keep and t in keep),
-            self.initial, (q for q in self.marked if q in keep), lambda _i, q: q)
+        # The kept transitions are the existing items, keys and all.
+        return Automaton(self.name, self.alphabet, tuple(q for q in self.states if q in keep),
+                         (kt for kt in self.transitions.items()
+                          if kt[0][0] in keep and kt[1] in keep),
+                         self.initial, tuple(q for q in self.marked if q in keep))
 
     def accessible(self) -> "Automaton":
         """Keep only states reachable from the initial state."""
@@ -298,11 +299,16 @@ def path_to(parent: dict, node) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-def backward_reachable(transitions: dict, targets: Iterable) -> set:
-    """Nodes of a ``(node, event) -> node`` map that can reach some target."""
+def predecessors(edges: Iterable) -> dict:
+    """``{target: [source, ...]}`` for ``((source, event), target)`` pairs."""
     preds: dict = {}
-    for (q, _e), t in transitions.items():
+    for (q, _e), t in edges:
         preds.setdefault(t, []).append(q)
+    return preds
+
+
+def backward_reachable(preds: dict, targets: Iterable) -> set:
+    """Nodes that reach some target along a :func:`predecessors` map."""
     seen = set(targets)
     todo = list(seen)
     while todo:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .automata import (Automaton, backward_reachable, empty_automaton, explore,
-                       from_nodes, path_to)
+                       from_nodes, path_to, predecessors)
 from .compose import all_marked, free_delimiter, parallel, product, successors
 
 
@@ -124,7 +124,7 @@ def check_nonconflicting(plant: Automaton,
         return ConflictReport(False, (), 0)
     order, parent, transitions = product(components, plant.alphabet)
     coreach = backward_reachable(
-        transitions, (q for q in order if all_marked(components, q)))
+        predecessors(transitions.items()), (q for q in order if all_marked(components, q)))
     for checked, q in enumerate(order, start=1):
         if q not in coreach:
             return ConflictReport(False, path_to(parent, q), checked)
@@ -134,12 +134,13 @@ def check_nonconflicting(plant: Automaton,
 def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     """Supremal controllable sublanguage of plant || spec, as a trim automaton.
 
-    Each round deletes the states where an uncontrollable plant-active event
-    has no surviving product transition, together with every state that
-    reaches them by uncontrollable product transitions (the uncontrollable
-    attractor), and then re-trims.  The number of rounds is the number of
-    alternations between controllability and blocking.  Returns the canonical
-    empty automaton when nothing survives.
+    A fixpoint of two backward searches over predecessor lists built once:
+    the uncontrollable attractor of the states that disable an uncontrollable
+    plant event, then the states that cannot reach a marked one, one round
+    per alternation.  The forward reach runs once, at the end.  States join
+    component names with ``|``, or with :func:`~desctl.compose.free_delimiter`
+    if two names would collide.  Returns the canonical empty automaton when
+    nothing survives.
     """
     _require_subalphabet(plant, spec)
     name = f"{plant.name}|{spec.name}"
@@ -147,52 +148,40 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
         return empty_automaton(name, plant.alphabet)
 
     states, _, trans = product([plant, spec], plant.alphabet)
-    start = states[0]
-    marked = {q for q in states if all_marked([plant, spec], q)}
-    events = plant.alphabet.events
     uncontrollable = set(plant.alphabet.uncontrollable)
+    marked = {q for q in states if all_marked([plant, spec], q)}
+    preds = predecessors(trans.items())
+    upreds = predecessors(kt for kt in trans.items() if kt[0][1] in uncontrollable)
     good = set(states)
-    uncontrollable_trans = None  # built on the first deletion; most runs have none
+    # Uncontrollable: the plant enables an uncontrollable event the spec disables.
+    removed = {q for q in states for e in uncontrollable
+               if (q[0], e) in plant.transitions and (q, e) not in trans}
+    while True:
+        # The attractor stops at states deleted in earlier rounds: their
+        # uncontrollable predecessors were deleted with them.
+        removed = backward_reachable(upreds, removed) & good
+        good -= removed
+        for q in removed:  # a deleted state leaves the graph
+            preds.pop(q, None)
+            upreds.pop(q, None)
+        # Blocking: no marked state is reachable within good.
+        removed = good - backward_reachable(preds, marked & good)
+        if not removed:
+            break
+    del preds, upreds
+    start = states[0]
+    if start not in good:
+        return empty_automaton(name, plant.alphabet)
+    events = plant.alphabet.events
 
     def step(q):
-        return [(e, t) for e in events
-                if (t := trans.get((q, e))) is not None and t in good]
+        return [(e, t) for e in events if (t := trans.get((q, e))) is not None and t in good]
 
-    while True:
-        # Controllability: every plant-active uncontrollable event must keep
-        # a surviving product transition.
-        bad = set()
-        for q in good:
-            for e in uncontrollable:
-                if (q[0], e) in plant.transitions:
-                    t = trans.get((q, e))
-                    if t is None or t not in good:
-                        bad.add(q)
-                        break
-        if bad:
-            if uncontrollable_trans is None:
-                uncontrollable_trans = {k: t for k, t in trans.items()
-                                        if k[1] in uncontrollable}
-            # The uncontrollable attractor: a state with an uncontrollable
-            # string into a bad state is bad too.  Walking through states
-            # deleted in earlier rounds adds nothing, because a good state
-            # with an uncontrollable edge out of good is in bad already.
-            good -= backward_reachable(uncontrollable_trans, bad)
-        # Trim within the surviving set.
-        if start not in good:
-            return empty_automaton(name, plant.alphabet)
-        reach = set(explore(start, step)[0])
-        coreach = backward_reachable(
-            {k: t for k, t in trans.items() if k[0] in reach and t in reach},
-            (q for q in marked if q in reach))
-        new_good = reach & coreach
-        if not new_good:
-            return empty_automaton(name, plant.alphabet)
-        if new_good == good and not bad:
-            break
-        good = new_good
-
-    return from_nodes(name, plant.alphabet, (q for q in states if q in good),
-                      ((k, t) for k, t in trans.items() if k[0] in good and t in good),
-                      start, (q for q in states if q in good and q in marked),
-                      lambda _i, q: "|".join(q))
+    reach = set(explore(start, step)[0])
+    delimiter = "|"
+    if len({delimiter.join(q) for q in reach}) < len(reach):
+        delimiter = free_delimiter([plant, spec])
+    return from_nodes(name, plant.alphabet, (q for q in states if q in reach),
+                      ((k, t) for k, t in trans.items() if k[0] in reach and t in reach),
+                      start, (q for q in states if q in reach and q in marked),
+                      lambda _i, q: delimiter.join(q))

@@ -9,7 +9,8 @@ union; whitespace is insignificant, ``#`` starts a line comment)::
     atom   := IDENT | '(' expr ')' | 'pc' '(' expr ')'
 
 ``pc(x)`` denotes the prefix closure of ``x``.  Compilation goes through a
-small epsilon-NFA, subset construction, trimming and minimization; the
+small epsilon-NFA, subset construction and minimization; no expression
+denotes the empty language, so the subset automaton is already trim.  The
 output automaton is trim, minimal, keeps a partial transition map, and its
 marked language is the expression's denotation.
 """
@@ -277,18 +278,15 @@ def _build_fragment(nfa: _Nfa, ast: Expr, alphabet: Alphabet) -> tuple[int, int]
         nfa.add_eps(ca, a)
         return s, a
     if isinstance(ast, PrefClose):
-        # Determinize and trim the child first: the prefix closure is then
-        # exactly "every surviving state accepts".
-        child = _subset_construct(ast.child, alphabet).trim()
+        # The grammar has no empty language, so every state of a fragment
+        # lies on a path from its start to its accept: the prefix closure
+        # accepts wherever the child fragment can be.
         s, a = nfa.state(), nfa.state()
-        if child.initial is None:
-            return s, a  # closure of the empty language is empty
-        ids = {q: nfa.state() for q in child.states}
-        nfa.add_eps(s, ids[child.initial])
-        for (q, e), t in child.transitions.items():
-            nfa.add(ids[q], e, ids[t])
-        for q in child.states:
-            nfa.add_eps(ids[q], a)
+        first = nfa.n
+        cs, _ = _build_fragment(nfa, ast.child, alphabet)
+        nfa.add_eps(s, cs)
+        for q in range(first, nfa.n):
+            nfa.add_eps(q, a)
         return s, a
     raise TypeError(f"unknown AST node {ast!r}")
 
@@ -385,10 +383,9 @@ def compile(ast: Expr, alphabet: Alphabet, name: str = "spec") -> Automaton:
     not depend on how the expression is written (e.g. on the order of union
     terms).
     """
-    dfa = _subset_construct(ast, alphabet).trim()
-    if dfa.is_empty:
-        return empty_automaton(name, alphabet)
-    dfa = minimize(dfa)
+    # Every fragment state reaches the accept state, so every subset does
+    # too: the subset automaton is already trim.
+    dfa = minimize(_subset_construct(ast, alphabet))
     return from_nodes(name, alphabet, dfa.states, dfa.transitions.items(), dfa.initial,
                       dfa.marked, lambda i, _q: f"s{i + 1}")
 

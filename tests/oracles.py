@@ -259,6 +259,46 @@ def explore_closed_loop(plant: Automaton, sups, max_depth: int):
     return depth, edges, paths
 
 
+def supcon_oracle(plant: Automaton, spec: Automaton) -> set[str]:
+    """State names of supcon(plant, spec) by the textbook round, to a fixpoint.
+
+    Each round keeps the configurations whose plant-enabled uncontrollable
+    events all have a closed-loop edge into the kept set, then the
+    coreachable ones, then the reachable ones.  Names join the component
+    states with ``|``.
+    """
+    if plant.initial is None or spec.initial is None:
+        return set()
+    depth, edges, _ = explore_closed_loop(plant, [spec], 10 ** 9)
+    init = (plant.initial, spec.initial)
+    good = set(depth)
+    while True:
+        kept = set()
+        for cfg in good:
+            out = dict(edges.get(cfg, []))
+            if all(out.get(e) in good for e in plant.alphabet.uncontrollable
+                   if (cfg[0], e) in plant.transitions):
+                kept.add(cfg)
+        coreach = {c for c in kept if plant.is_marked(c[0]) and spec.is_marked(c[1])}
+        grown = True
+        while grown:
+            grown = False
+            for c in kept - coreach:
+                if any(t in coreach for _e, t in edges.get(c, [])):
+                    coreach.add(c)
+                    grown = True
+        reach = {init} if init in coreach else set()
+        todo = list(reach)
+        while todo:
+            for _e, t in edges.get(todo.pop(), []):
+                if t in coreach and t not in reach:
+                    reach.add(t)
+                    todo.append(t)
+        if reach == good:
+            return {"|".join(c) for c in good}
+        good = reach
+
+
 def nonblocking_oracle(plant: Automaton, sups, max_depth: int):
     """(verdict, shortest string to a blocking configuration or None)."""
     sups = list(sups)

@@ -11,7 +11,7 @@ from desctl.control import (AlphabetError, SupervisorSet, check_controllability,
                             check_nonconflicting, closed_loop, supcon)
 from desctl.espec import equivalent
 from oracles import (enumerate_violations, nonblocking_oracle,
-                     random_automaton)
+                     random_automaton, supcon_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +221,23 @@ def test_trim_of_a_trim_automaton_copies_it_once(plant, sups):
     assert peak < 20 * 2 ** 20
 
 
+def alternation(k: int):
+    """Plant x0 -u-> y0 -c-> x1 ... xk -u-> z marked at each x and z; spec without xk -u-> z.
+
+    Deleting xk leaves y(k-1) blocking, which leaves x(k-1) uncontrollable,
+    and so on: supcon needs k rounds, and nothing survives.
+    """
+    alph = Alphabet((("c", True), ("u", False)))
+    trans = {}
+    for i in range(k):
+        trans[(f"x{i}", "u")] = f"y{i}"
+        trans[(f"y{i}", "c")] = f"x{i + 1}"
+    marked = [f"x{i}" for i in range(k + 1)] + ["z"]
+    states = marked + [f"y{i}" for i in range(k)]
+    plant = Automaton("G", alph, states, {**trans, (f"x{k}", "u"): "z"}, "x0", marked)
+    return plant, Automaton("K", alph, states, trans, "x0", marked)
+
+
 class TestSupcon:
     def test_full_behavior_is_supremal(self, plant):
         result = supcon(plant, plant)
@@ -317,6 +334,44 @@ class TestSupcon:
         assert time.monotonic() - start < 10.0
         assert len(result.states) == prefix
         assert result.is_empty == (prefix == 0)
+
+    def test_alternation_in_bounded_time(self):
+        # k = 2,000 rounds, each deleting one gadget: a full reach and
+        # coreach per round is quadratic here.
+        plant, spec = alternation(2000)
+        start = time.monotonic()
+        result = supcon(plant, spec)
+        assert time.monotonic() - start < 10.0
+        assert result.is_empty
+
+    def test_supremal_on_random_instances(self):
+        rng = random.Random(44)
+        nonempty = 0
+        for _ in range(300):
+            plant = random_automaton(rng, ["a", "b", "u", "v"], name="p",
+                                     uncontrollable=["u", "v"])
+            spec = random_automaton(rng, ["a", "b", "u"], name="k",
+                                    uncontrollable=["u"])
+            result = supcon(plant, spec)
+            assert set(result.states) == supcon_oracle(plant, spec)
+            nonempty += not result.is_empty
+        assert nonempty >= 50
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20])
+    def test_supremal_on_the_alternation_family(self, k):
+        plant, spec = alternation(k)
+        assert set(supcon(plant, spec).states) == supcon_oracle(plant, spec) == set()
+
+    def test_colliding_joined_names_get_a_free_delimiter(self):
+        # a|b with c and a with b|c would both be named a|b|c.
+        alph = Alphabet((("x", True), ("y", True)))
+        plant = Automaton("G", alph, ("a|b", "a"), {("a|b", "x"): "a", ("a", "y"): "a|b"},
+                          "a|b", ("a|b", "a"))
+        spec = Automaton("K", alph, ("c", "b|c"), {("c", "x"): "b|c", ("b|c", "y"): "c"},
+                         "c", ("c", "b|c"))
+        result = supcon(plant, spec)
+        assert result.validate() == []
+        assert result.states == ("a|b||c", "a||b|c")
 
     def test_alphabet_violation(self):
         spec = Automaton("k", Alphabet((("zz", True),)), ("q",), {}, "q", ("q",))
