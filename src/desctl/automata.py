@@ -14,7 +14,8 @@ import json
 import re
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Callable, Iterable, Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 EVENT_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9._]*\Z")
 
@@ -446,7 +447,39 @@ def load_automaton(path) -> Automaton:
     return automaton_from_dict(doc, where=str(path))
 
 
+class JsonStrings(dict):
+    """``quoted[s]`` is ``json.dumps(s)``, encoded once, on first use, in C."""
+
+    def __missing__(self, s: str) -> str:
+        self[s] = text = encode_basestring_ascii(s)
+        return text
+
+
+def json_list(values: Iterable[str], depth: int) -> Iterator[str]:
+    """A JSON list of rendered values, laid out as ``json.dumps(indent=2)`` lays out a
+    list that opens on a line at nesting ``depth``: ``[]`` when empty, otherwise
+    one chunk per value and one for the closing bracket."""
+    pad = "\n" + "  " * (depth + 1)
+    sep = "[" + pad
+    for value in values:
+        yield sep + value
+        sep = "," + pad
+    yield "[]" if sep[0] == "[" else "\n" + "  " * depth + "]"
+
+
 def save_automaton(a: Automaton, path) -> None:
+    """Write ``json.dumps(automaton_to_dict(a), indent=2)`` and a newline, a row at a time."""
+    q = JsonStrings()
+    events = [{"id": e, "controllable": c} for e, c in a.alphabet.entries]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(automaton_to_dict(a), fh, indent=2)
-        fh.write("\n")
+        # The name and the few events, without the closing "\n}".
+        fh.write(json.dumps({"name": a.name, "events": events}, indent=2)[:-2])
+        fh.write(',\n  "states": ')
+        fh.writelines(json_list(map(q.__getitem__, a.states), 1))
+        fh.write(f',\n  "initial": {json.dumps(a.initial)},\n  "marked": ')
+        fh.writelines(json_list(map(q.__getitem__, a.marked), 1))
+        fh.write(',\n  "transitions": ')
+        fh.writelines(json_list((f'{{\n      "from": {q[s]},\n      "on": {q[e]},\n'
+                                 f'      "to": {q[t]}\n    }}'
+                                 for s in a.states for e, t in a.edges(s)), 1))
+        fh.write("\n}\n")

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
-from .automata import Automaton, BadQueryError
+from .automata import Automaton, BadQueryError, JsonStrings, json_list
 from .compose import all_marked, successors
 from .control import SupervisorSet, _require_subalphabet
 
@@ -107,15 +107,14 @@ def fire(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
     _check_configuration(plant, sup_list, cfg)
     if e not in plant.alphabet:
         raise BadQueryError(f"unknown event {e!r}")
-    components = [plant, *sup_list]
-    cur = (cfg.plant_state, *cfg.sup_states)
-    nxt = dict(successors(components, plant.alphabet)(cur)).get(e)
-    if nxt is None:
-        names = ["plant"] + [s.name for s in sup_list]
-        for name, a, q in zip(names, components, cur):
-            if e in a.alphabet and (q, e) not in a.transitions:
-                raise NotEnabledError(e, name)
-    return _configuration(nxt)
+    nxt = []
+    for i, (a, q) in enumerate(zip([plant, *sup_list], (cfg.plant_state, *cfg.sup_states))):
+        if e in a.alphabet:
+            q = a.transitions.get((q, e))
+            if q is None:
+                raise NotEnabledError(e, sup_list[i - 1].name if i else "plant")
+        nxt.append(q)
+    return _configuration(tuple(nxt))
 
 
 def is_marked(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
@@ -259,7 +258,17 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def report_to_json(report: RunReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """The text of ``json.dumps(report_to_dict(report), indent=2)`` and a newline."""
+    q = JsonStrings()
+
+    def row(e: str, c: Configuration) -> str:
+        sups = "".join(json_list(map(q.__getitem__, c.sup_states), 4))
+        return (f'{{\n      "event": {q[e]},\n      "configuration": {{\n        "plant_state": '
+                f'{q[c.plant_state]},\n        "sup_states": {sups}\n      }}\n    }}')
+
+    # The trace is the first field, so the first "[]" is the emptied trace.
+    head, tail = json.dumps(report_to_dict(replace(report, trace=())), indent=2).split("[]", 1)
+    return "".join([head, *json_list((row(e, c) for e, c in report.trace), 1), tail, "\n"])
 
 
 def report_from_dict(doc: dict) -> RunReport:

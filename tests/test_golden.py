@@ -2,14 +2,17 @@
 
 Each digest was recorded before a refactor of the code that produces it: the
 move of composition, analysis, spec and simulator modules onto one shared step
-rule and one automaton builder, and the move of model files, DOT export and
-minimization onto one out-edge walk.  A refactor that changes state naming,
-state or transition order, or a trace changes the digest.
+rule and one automaton builder, the move of model files, DOT export and
+minimization onto one out-edge walk, and the move of model files and run
+reports from ``json.dump(indent=2)`` to streamed writers.  A refactor that
+changes state naming, state or transition order, a trace or the JSON layout
+changes the digest.
 """
 
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -53,20 +56,48 @@ def test_spec_compiled_over_the_plant_alphabet(plant, category, digest):
     assert _model_digest(compiled) == digest
 
 
-def test_supcon_of_spec_over_its_own_events(plant):
+@pytest.fixture(scope="module")
+def kd1_supervisor(plant):
+    """``supcon`` of the plant and KD1 compiled over its own events."""
     text = fms.spec_text(1)
     used = set(espec.leaves(espec.parse(text)))
     spec = espec.compile_text(
         text, Alphabet(tuple(x for x in plant.alphabet.entries if x[0] in used)))
-    result = supcon(plant, spec)
-    assert len(result.states) == 4992
-    assert _model_digest(result) == (
+    return supcon(plant, spec)
+
+
+def test_supcon_of_spec_over_its_own_events(kd1_supervisor):
+    assert len(kd1_supervisor.states) == 4992
+    assert _model_digest(kd1_supervisor) == (
         "cbcf7e9fd42fc6e3ec332ae4fe6ed9c49976b0809a02aa02707acbbf54f7be99")
 
 
 def test_closed_loop_model(loop):
     assert _model_digest(loop) == (
         "6bc329b0484307fb1fbd622c2e9c8c420d6f6a8929d1258709c9cfe46f5b771a")
+
+
+@pytest.mark.parametrize("which, digest", [
+    ("loop", "c8617b5202b6c0867ad0ddf91aa3d5fd56f2279774d4c7de8a880db5392e0f78"),
+    ("kd1_supervisor", "016703e206f316c410cdd47b68caca508f6ac523606bd1dc1e6ce064f2682c7e"),
+])
+def test_written_model_file(request, tmp_path, which, digest):
+    # The bytes save_automaton writes, not the dict the digests above hash.
+    path = tmp_path / "model.json"
+    save_automaton(request.getfixturevalue(which), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_saving_the_closed_loop_streams(loop, tmp_path):
+    # 11,520 states and 96,448 transitions: a writer that builds a dict per
+    # transition row or the whole document text peaks at about 18 MB.
+    tracemalloc.start()
+    try:
+        save_automaton(loop, tmp_path / "loop.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 def test_closed_loop_dot(loop):

@@ -1,0 +1,131 @@
+"""The streamed writers against ``json.dumps(indent=2)`` of the documented shapes.
+
+``save_automaton`` and ``report_to_json`` lay the JSON text out themselves;
+``automaton_to_dict`` and ``report_to_dict`` are the shapes, and
+``json.dumps(doc, indent=2)`` plus a newline is the text they must write.
+"""
+
+import json
+import random
+
+import pytest
+
+from desctl import espec, fms, sim
+from desctl.automata import (Alphabet, Automaton, automaton_to_dict,
+                             empty_automaton, save_automaton)
+from desctl.control import closed_loop, supcon
+
+# Quotes, backslashes, control characters, non-ASCII text, U+2028/9 and a
+# character outside the Basic Multilingual Plane (a surrogate pair in JSON).
+PIECES = ("q", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u03a9",
+          "\u6bb5", "\u2028", "\u2029", "\U0001f600", " ", "/", "[]")
+
+
+def weird_name(rng) -> str:
+    return "".join(rng.choice(PIECES) for _ in range(rng.randint(1, 5)))
+
+
+def weird_automaton(rng) -> Automaton:
+    events = tuple(f"e{i}" for i in range(rng.randint(0, 4)))
+    states = tuple(dict.fromkeys(weird_name(rng) for _ in range(rng.randint(1, 8))))
+    transitions = {(q, e): rng.choice(states) for q in states for e in events
+                   if rng.random() < 0.5}
+    return Automaton(weird_name(rng), Alphabet(tuple((e, rng.random() < 0.5) for e in events)),
+                     states, transitions, states[0],
+                     tuple(q for q in states if rng.random() < 0.4))
+
+
+def assert_saved_as_dumps(a: Automaton, path) -> None:
+    save_automaton(a, path)
+    assert path.read_text(encoding="utf-8") == (
+        json.dumps(automaton_to_dict(a), indent=2) + "\n")
+
+
+@pytest.fixture(scope="module")
+def plant():
+    return fms.build_total()
+
+
+@pytest.fixture(scope="module")
+def sups():
+    return [fms.build_supervisor(1), fms.build_supervisor(2)]
+
+
+class TestSaveAutomaton:
+    @pytest.mark.parametrize("key", sorted(fms.catalog().automata))
+    def test_corpus_models(self, key, tmp_path):
+        assert_saved_as_dumps(fms.catalog().automata[key], tmp_path / "a.json")
+
+    def test_closed_loop(self, plant, sups, tmp_path):
+        assert_saved_as_dumps(closed_loop(plant, sups), tmp_path / "a.json")
+
+    def test_supcon_of_spec_over_its_own_events(self, plant, tmp_path):
+        text = fms.spec_text(1)
+        used = set(espec.leaves(espec.parse(text)))
+        spec = espec.compile_text(
+            text, Alphabet(tuple(x for x in plant.alphabet.entries if x[0] in used)))
+        assert_saved_as_dumps(supcon(plant, spec), tmp_path / "a.json")
+
+    def test_empty_automaton(self, tmp_path):
+        assert_saved_as_dumps(empty_automaton("e", Alphabet(())), tmp_path / "a.json")
+        assert_saved_as_dumps(empty_automaton("e", Alphabet((("a", False),))),
+                              tmp_path / "a.json")
+
+    def test_escaped_names_on_random_instances(self, tmp_path):
+        rng = random.Random(2028)
+        for _ in range(200):
+            assert_saved_as_dumps(weird_automaton(rng), tmp_path / "a.json")
+
+    @pytest.mark.parametrize("states, transitions, initial, marked", [
+        (("a", "b", "a"), {("a", "x"): "b", ("b", "x"): "a"}, "a", ("a",)),
+        (("a",), {("a", "x"): "nowhere"}, "a", ()),
+        (("a",), {("ghost", "x"): "a", ("a", "x"): "a"}, "a", ("a",)),
+        (("a",), {}, "elsewhere", ("a", "elsewhere", "\u2028")),
+        ((), {}, "a", ("a",)),
+    ], ids=["duplicate-state", "dangling-target", "unknown-source",
+            "initial-and-marked-outside", "no-states"])
+    def test_invalid_in_memory_automata(self, states, transitions, initial, marked,
+                                        tmp_path):
+        a = Automaton("bad", Alphabet((("x", True),)), states, transitions, initial, marked)
+        assert a.validate()
+        assert_saved_as_dumps(a, tmp_path / "a.json")
+
+
+def assert_rendered_as_dumps(report: sim.RunReport) -> None:
+    assert sim.report_to_json(report) == json.dumps(sim.report_to_dict(report), indent=2) + "\n"
+
+
+class TestReportToJson:
+    @pytest.mark.parametrize("n_sups", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_random_runs(self, plant, sups, n_sups, seed):
+        assert_rendered_as_dumps(sim.run(plant, sups[:n_sups], sim.Random(seed), 400))
+
+    def test_zero_steps(self, plant, sups):
+        report = sim.run(plant, sups, sim.Random(1), 0)
+        assert report.trace == ()
+        assert_rendered_as_dumps(report)
+
+    def test_scripted_run_blocked(self, plant, sups):
+        script = ("C1.load", "R.pick1", "R.place3", "M.start", "R.pick3", "R.place4", "A.on")
+        report = sim.run(plant, sups, sim.Scripted(script), 10)
+        assert report.blocked_event == "R.place4" and report.steps_taken == 5
+        assert_rendered_as_dumps(report)
+
+    def test_deadlocked_run_with_escaped_names(self):
+        # "x" leads into a state without out-edges; the names need escaping.
+        plant = Automaton('p"\\', Alphabet((("x", True), ("y", False))),
+                          ("\u2028\n", '\u00e9"'), {("\u2028\n", "x"): '\u00e9"'},
+                          "\u2028\n", ('\u00e9"',))
+        sup = Automaton("s", Alphabet((("x", True),)), ("\x00",),
+                        {("\x00", "x"): "\x00"}, "\x00", ())
+        report = sim.run(plant, [sup], sim.Random(3), 10)
+        assert report.deadlocked and report.steps_taken == 1
+        assert_rendered_as_dumps(report)
+
+    def test_hand_built_report(self):
+        # A report whose counts and names could confuse a text splice.
+        cfg = sim.Configuration("[]", ("[]", '"'))
+        report = sim.RunReport((("e", cfg), ("f", cfg)), 2, False, "[]",
+                               {"[]": 1, "2": 0}, True)
+        assert_rendered_as_dumps(report)

@@ -1,9 +1,11 @@
+import random
 import time
 
 import pytest
 
 from desctl import fms, sim
 from desctl.automata import BadQueryError
+from desctl.compose import successors
 from desctl.control import SupervisorSet, closed_loop
 from desctl.sim import (Configuration, Interactive, NotEnabledError, Random,
                         ScriptError, Scripted, initial_configuration, enabled,
@@ -78,6 +80,30 @@ class TestEnabledAndFire:
         cfg = initial_configuration(plant, sups)
         with pytest.raises(BadQueryError):
             fire(plant, sups, cfg, "zz")
+
+    def test_fire_agrees_with_the_step_rule(self, plant, sups):
+        # Every plant event at configurations that random runs reach: fire
+        # takes the step rule's successor, or names the first component in
+        # plant, S1, S2 order that declares the event and disables it.
+        components = [plant, *sups]
+        names = ["plant", *(s.name for s in sups)]
+        step = successors(components, plant.alphabet)
+        rng = random.Random(11)
+        configurations = {cfg for seed in range(20)
+                          for _e, cfg in run(plant, sups, Random(seed), 200).trace}
+        for cfg in rng.sample(sorted(configurations, key=repr), 150):
+            cur = (cfg.plant_state, *cfg.sup_states)
+            successor = dict(step(cur))
+            for e in plant.alphabet.events:
+                if e in successor:
+                    assert fire(plant, sups, cfg, e) == Configuration(
+                        successor[e][0], successor[e][1:])
+                    continue
+                blocker = next(n for n, a, q in zip(names, components, cur)
+                               if e in a.alphabet and (q, e) not in a.transitions)
+                with pytest.raises(NotEnabledError) as err:
+                    fire(plant, sups, cfg, e)
+                assert (err.value.event, err.value.blocker) == (e, blocker)
 
     def test_marked_only_when_every_component_agrees(self, plant, sups):
         cfg = initial_configuration(plant, sups)
