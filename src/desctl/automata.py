@@ -399,41 +399,55 @@ def automaton_from_dict(doc: dict, where: str = "model") -> Automaton:
         raise ModelFormatError(str(exc), f"{where}.events") from None
     _expect_strings(doc["states"], f"{where}.states")
     states = tuple(doc["states"])
-    state_set = set(states)
-    if len(state_set) != len(states):
+    # One probe into these maps both checks a name and swaps in the declared
+    # string, so the loaded model holds one object per state and event name.
+    state_of = dict(zip(states, states))
+    event_of = dict(zip(alphabet.events, alphabet.events))
+    if len(state_of) != len(states):
         raise ModelFormatError("duplicate state names", f"{where}.states")
     initial = doc["initial"] if states else None
-    if states and _expect(initial, str, f"{where}.initial") not in state_set:
+    if states and _expect(initial, str, f"{where}.initial") not in state_of:
         raise ModelFormatError(f"initial state {initial!r} not in states", f"{where}.initial")
     _expect_strings(doc["marked"], f"{where}.marked")
     marked = []
     for i, q in enumerate(doc["marked"]):
-        if q not in state_set:
+        if q not in state_of:
             raise ModelFormatError(f"unknown state {q!r}", f"{where}.marked[{i}]")
-        marked.append(q)
-    transitions: dict[tuple[str, str], str] = {}
-    for i, row in enumerate(doc["transitions"]):
+        marked.append(state_of[q])
+    rows = doc["transitions"]
+    try:
+        transitions = {(state_of[r["from"]], event_of[r["on"]]): state_of[r["to"]] for r in rows}
+    except (TypeError, KeyError):
+        transitions = {}
+    if len(transitions) != len(rows):  # a bad row, or a repeated (from, on)
+        raise _bad_row(rows, state_of, event_of, where)
+    return Automaton(name=name, alphabet=alphabet, states=states, transitions=transitions,
+                     initial=state_of.get(initial), marked=tuple(marked))
+
+
+def _bad_row(rows: list, state_of: dict, event_of: dict, where: str) -> ModelFormatError:
+    """The error for the first of ``rows`` with a missing field, an unknown name or a repeat."""
+    seen = set()
+    for i, row in enumerate(rows):
         loc = f"{where}.transitions[{i}]"
         try:
             src, on, dst = row["from"], row["on"], row["to"]
         except (TypeError, KeyError):
-            raise ModelFormatError("each transition needs 'from', 'on', 'to'", loc)
+            return ModelFormatError("each transition needs 'from', 'on', 'to'", loc)
         # States and event ids are strings, so a value of another JSON type
         # is unknown, or unhashable if it is a list or an object.
         try:
-            if src not in state_set:
-                raise ModelFormatError(f"unknown state {src!r}", loc)
-            if dst not in state_set:
-                raise ModelFormatError(f"unknown state {dst!r}", loc)
-            if on not in alphabet:
-                raise ModelFormatError(f"unknown event {on!r}", loc)
+            if src not in state_of:
+                return ModelFormatError(f"unknown state {src!r}", loc)
+            if dst not in state_of:
+                return ModelFormatError(f"unknown state {dst!r}", loc)
+            if on not in event_of:
+                return ModelFormatError(f"unknown event {on!r}", loc)
         except TypeError:
-            raise ModelFormatError("'from', 'on' and 'to' must be strings", loc) from None
-        if (src, on) in transitions:
-            raise ModelFormatError(f"duplicate transition on {on!r} from {src!r}", loc)
-        transitions[(src, on)] = dst
-    return Automaton(name=name, alphabet=alphabet, states=states,
-                     transitions=transitions, initial=initial, marked=tuple(marked))
+            return ModelFormatError("'from', 'on' and 'to' must be strings", loc)
+        if (src, on) in seen:
+            return ModelFormatError(f"duplicate transition on {on!r} from {src!r}", loc)
+        seen.add((src, on))
 
 
 def load_automaton(path) -> Automaton:

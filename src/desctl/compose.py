@@ -29,6 +29,12 @@ def merged_alphabet(automata: Sequence[Automaton]) -> Alphabet:
     return Alphabet(tuple((e, flags[e]) for e in order))
 
 
+def _declaring(automata: Sequence[Automaton], events) -> dict:
+    """``{event: [(index, transitions), ...]}`` of the components declaring each event."""
+    return {e: [(i, a.transitions) for i, a in enumerate(automata) if e in a.alphabet]
+            for e in events}
+
+
 def successors(automata: Sequence[Automaton], alphabet: Alphabet):
     """The synchronous step rule on tuples of component states.
 
@@ -39,11 +45,8 @@ def successors(automata: Sequence[Automaton], alphabet: Alphabet):
     """
     # Most events are disabled by the first component that declares them, so
     # that one is checked before the next tuple is allocated.
-    declaring = []
-    for e in alphabet.events:
-        (i0, first), *rest = [(i, a.transitions) for i, a in enumerate(automata)
-                              if e in a.alphabet]
-        declaring.append((e, i0, first, rest))
+    declaring = [(e, i0, first, rest) for e, ((i0, first), *rest)
+                 in _declaring(automata, alphabet.events).items()]
 
     def step(cur):
         edges = []
@@ -63,6 +66,23 @@ def successors(automata: Sequence[Automaton], alphabet: Alphabet):
         return edges
 
     return step
+
+
+def fired(automata: Sequence[Automaton], events):
+    """``go(cur, e)``: the tuple after ``e`` fires at ``cur``, or None if ``e`` is disabled."""
+    # Only the components that declare ``e`` are walked.
+    table = _declaring(automata, events)
+
+    def go(cur, e):
+        nxt = list(cur)
+        # An event outside ``events`` is disabled, as if by an empty first component.
+        for i, trans in table.get(e, ((0, {}),)):
+            if (t := trans.get((cur[i], e))) is None:
+                return None
+            nxt[i] = t
+        return tuple(nxt)
+
+    return go
 
 
 def all_marked(automata: Sequence[Automaton], cur) -> bool:

@@ -21,7 +21,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import Alphabet, Automaton, empty_automaton, explore, from_nodes
+from .automata import (Alphabet, Automaton, backward_reachable, empty_automaton, explore,
+                       from_nodes)
 
 RESERVED = {"pc"}
 # Groups nest at most this deep.  The parser and the passes over the AST
@@ -234,14 +235,8 @@ class _Nfa:
         self.trans[(a, e)].add(b)
 
     def closure(self, states: frozenset[int]) -> frozenset[int]:
-        seen = set(states)
-        todo = list(states)
-        while todo:
-            for t in self.eps.get(todo.pop(), ()):
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return frozenset(seen)
+        # The search walks any {node: [next, ...]} map; here, forward along epsilon moves.
+        return frozenset(backward_reachable(self.eps, states))
 
 
 def _build_fragment(nfa: _Nfa, ast: Expr, alphabet: Alphabet) -> tuple[int, int]:

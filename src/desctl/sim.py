@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 from .automata import Automaton, BadQueryError, JsonStrings, json_list
-from .compose import all_marked, successors
+from .compose import all_marked, fired, successors
 from .control import SupervisorSet, _require_subalphabet
 
 COMPLETION_EVENTS = {"1": "A.done1", "2": "A.done2"}
@@ -82,39 +82,34 @@ def initial_configuration(plant: Automaton,
     return Configuration(plant.initial, tuple(s.initial for s in sup_list))
 
 
-def _check_configuration(plant: Automaton, sup_list: list[Automaton],
-                         cfg: Configuration) -> None:
-    if not plant.has_state(cfg.plant_state) or len(cfg.sup_states) != len(sup_list):
+def _checked(plant: Automaton, sups, cfg: Configuration) -> tuple[list, tuple[str, ...]]:
+    """The components, and ``cfg`` as the tuple of their states; BadQueryError if invalid."""
+    components = [plant, *sups]
+    cur = (cfg.plant_state, *cfg.sup_states)
+    if len(cur) != len(components) or not all(map(Automaton.has_state, components, cur)):
         raise BadQueryError(f"invalid configuration {cfg}")
-    for s, q in zip(sup_list, cfg.sup_states):
-        if not s.has_state(q):
-            raise BadQueryError(f"invalid configuration {cfg}")
+    return components, cur
 
 
 def enabled(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
             cfg: Configuration) -> tuple[str, ...]:
     """Events enabled by the plant and every declaring supervisor."""
-    sup_list = list(sups)
-    _check_configuration(plant, sup_list, cfg)
-    step = successors([plant, *sup_list], plant.alphabet)
-    return tuple(e for e, _ in step((cfg.plant_state, *cfg.sup_states)))
+    components, cur = _checked(plant, sups, cfg)
+    return tuple(e for e, _ in successors(components, plant.alphabet)(cur))
 
 
 def fire(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
          cfg: Configuration, e: str) -> Configuration:
     """Advance the plant and every declaring supervisor on ``e``."""
-    sup_list = list(sups)
-    _check_configuration(plant, sup_list, cfg)
+    components, cur = _checked(plant, sups, cfg)
     if e not in plant.alphabet:
         raise BadQueryError(f"unknown event {e!r}")
-    nxt = []
-    for i, (a, q) in enumerate(zip([plant, *sup_list], (cfg.plant_state, *cfg.sup_states))):
-        if e in a.alphabet:
-            q = a.transitions.get((q, e))
-            if q is None:
-                raise NotEnabledError(e, sup_list[i - 1].name if i else "plant")
-        nxt.append(q)
-    return _configuration(tuple(nxt))
+    nxt = fired(components, (e,))(cur, e)
+    if nxt is None:
+        i = next(i for i, a in enumerate(components)
+                 if e in a.alphabet and (cur[i], e) not in a.transitions)
+        raise NotEnabledError(e, components[i].name if i else "plant")
+    return _configuration(nxt)
 
 
 def is_marked(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
@@ -149,8 +144,9 @@ def run(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
             if e not in plant.alphabet:
                 raise ScriptError(f"scripted event {e!r} is not in the plant alphabet")
         requested = min(len(policy.events), max_steps)
+        go = fired(components, plant.alphabet.events)
         for e in policy.events[:requested]:
-            nxt = dict(step(cur)).get(e)
+            nxt = go(cur, e)
             if nxt is None:
                 blocked_event = e
                 break
@@ -221,22 +217,27 @@ def run(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
 
 def replay(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
            report: RunReport) -> bool:
-    """Re-fire the trace and confirm every recorded step and count."""
+    """Re-fire the trace and confirm every recorded step, count and verdict."""
     sup_list = list(sups)
     try:
         cfg = initial_configuration(plant, sup_list)
     except BadQueryError:
         return False
     components = [plant, *sup_list]
-    step = successors(components, plant.alphabet)
+    go = fired(components, plant.alphabet.events)
     cur = (cfg.plant_state, *cfg.sup_states)
     for e, recorded in report.trace:
-        cur = dict(step(cur)).get(e)
-        if cur is None or _configuration(cur) != recorded:
+        cur = go(cur, e)
+        # The fields that Configuration equality compares, without building one.
+        if cur is None or recorded.plant_state != cur[0] or recorded.sup_states != cur[1:]:
             return False
+    # A deadlock leaves no plant event enabled; a blocked event is one left disabled.
+    disabled = [e for e in plant.alphabet.events if go(cur, e) is None]
     return (report.steps_taken == len(report.trace)
             and report.completions == _count_completions(report.trace)
-            and report.final_marked == all_marked(components, cur))
+            and report.final_marked == all_marked(components, cur)
+            and not (report.deadlocked and len(disabled) < len(plant.alphabet))
+            and report.blocked_event in (None, *disabled))
 
 
 # -- report serialization -------------------------------------------------

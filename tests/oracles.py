@@ -325,3 +325,48 @@ def nonblocking_oracle(plant: Automaton, sups, max_depth: int):
         return True, None
     worst = min(blocking, key=lambda c: (depth[c], paths[c]))
     return False, paths[worst]
+
+
+# -- run reports by direct re-execution ------------------------------------
+
+def replay_oracle(plant: Automaton, sups, doc: dict, counted: dict) -> bool:
+    """Does ``doc``, a run report in its dict form, describe a run of the closed loop?
+
+    Re-fires the trace over raw transition dicts, with no code from the
+    composition or simulation modules: an event fires when it is a plant
+    event and the plant and every supervisor declaring it have a transition
+    on it, and each recorded configuration must be the result.  The step
+    count, the completions (``counted`` maps each category to its event),
+    the final marking, ``deadlocked`` (no plant event enabled at the end) and
+    ``blocked_event`` (None, or a plant event disabled at the end) are then
+    checked against the final configuration.
+    """
+    components = [plant, *sups]
+    if any(a.initial is None for a in components):
+        return False
+
+    def after(cfg, e):
+        if e not in plant.alphabet.events:
+            return None
+        nxt = []
+        for a, q in zip(components, cfg):
+            if e in a.alphabet.events:
+                q = a.transitions.get((q, e))
+                if q is None:
+                    return None
+            nxt.append(q)
+        return nxt
+
+    cfg = [a.initial for a in components]
+    for row in doc["trace"]:
+        cfg = after(cfg, row["event"])
+        recorded = row["configuration"]
+        if cfg is None or [recorded["plant_state"], *recorded["sup_states"]] != cfg:
+            return False
+    fired = [row["event"] for row in doc["trace"]]
+    disabled = [e for e in plant.alphabet.events if after(cfg, e) is None]
+    return (doc["steps_taken"] == len(fired)
+            and doc["completions"] == {c: fired.count(e) for c, e in counted.items()}
+            and doc["final_marked"] == all(a.is_marked(q) for a, q in zip(components, cfg))
+            and (not doc["deadlocked"] or len(disabled) == len(plant.alphabet.events))
+            and (doc["blocked_event"] is None or doc["blocked_event"] in disabled))

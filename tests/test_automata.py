@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -242,6 +243,72 @@ class TestJsonFormat:
         doc["transitions"][0]["on"] = "M.start"
         with pytest.raises(ModelFormatError):
             automaton_from_dict(doc)
+
+
+MODEL = {"name": "m",
+         "events": [{"id": "a", "controllable": True}, {"id": "b", "controllable": False}],
+         "states": ["x", "y"], "initial": "x", "marked": ["y"],
+         "transitions": [{"from": "x", "on": "a", "to": "y"},
+                         {"from": "y", "on": "b", "to": "x"}]}
+DUPLICATE = {"from": "x", "on": "a", "to": "x"}
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"rows": [["y"]]},
+     "m.json.transitions[2]: each transition needs 'from', 'on', 'to'"),
+    ({"rows": ["y"]}, "m.json.transitions[2]: each transition needs 'from', 'on', 'to'"),
+    ({"rows": [None]}, "m.json.transitions[2]: each transition needs 'from', 'on', 'to'"),
+    ({"rows": [{"from": "y", "on": "a"}]},
+     "m.json.transitions[2]: each transition needs 'from', 'on', 'to'"),
+    ({"rows": [{"from": "z", "on": "a", "to": "y"}]},
+     "m.json.transitions[2]: unknown state 'z'"),
+    ({"rows": [{"from": "y", "on": "a", "to": "w"}]},
+     "m.json.transitions[2]: unknown state 'w'"),
+    ({"rows": [{"from": "y", "on": "c", "to": "y"}]},
+     "m.json.transitions[2]: unknown event 'c'"),
+    ({"rows": [{"from": ["y"], "on": "a", "to": "y"}]},
+     "m.json.transitions[2]: 'from', 'on' and 'to' must be strings"),
+    ({"rows": [{"from": "y", "on": "a", "to": {"q": 1}}]},
+     "m.json.transitions[2]: 'from', 'on' and 'to' must be strings"),
+    ({"rows": [{"from": "y", "on": 1, "to": "y"}]}, "m.json.transitions[2]: unknown event 1"),
+    ({"rows": [DUPLICATE]}, "m.json.transitions[2]: duplicate transition on 'a' from 'x'"),
+    ({"rows": [DUPLICATE, 7], "at": 1},
+     "m.json.transitions[1]: duplicate transition on 'a' from 'x'"),
+    ({"rows": [7, DUPLICATE], "at": 1},
+     "m.json.transitions[1]: each transition needs 'from', 'on', 'to'"),
+    ({"rows": [{"from": "y", "on": "c", "to": "y"}, {"from": ["x"], "on": "a", "to": "y"}],
+      "at": 1}, "m.json.transitions[1]: unknown event 'c'"),
+    ({"initial": "z"}, "m.json.initial: initial state 'z' not in states"),
+    ({"initial": ["x"]}, "m.json.initial: expected a string, found list"),
+    ({"marked": ["y", "z"]}, "m.json.marked[1]: unknown state 'z'"),
+    ({"marked": [3]}, "m.json.marked[0]: expected a string, found int"),
+], ids=["list row", "string row", "null row", "missing to", "unknown source",
+        "unknown target", "unknown event", "list-valued from", "object-valued to",
+        "integer on", "duplicate", "duplicate then non-object", "non-object then duplicate",
+        "unknown event then list-valued from", "unknown initial", "list initial",
+        "unknown marked", "integer marked"])
+def test_loader_diagnostics(patch, message):
+    # Rows are inserted at index ``at`` (default: appended); the first bad one wins.
+    doc = copy.deepcopy(MODEL)
+    patch = dict(patch)
+    at = patch.pop("at", len(doc["transitions"]))
+    doc["transitions"][at:at] = patch.pop("rows", [])
+    doc.update(patch)
+    with pytest.raises(ModelFormatError) as err:
+        automaton_from_dict(doc, where="m.json")
+    assert str(err.value) == message
+    assert err.value.where == message.split(": ", 1)[0]
+
+
+def test_loaded_model_shares_names(tmp_path):
+    # One string object per state and event name, however many rows name it.
+    save_automaton(fms.build_total(), tmp_path / "g.json")
+    a = load_automaton(tmp_path / "g.json")
+    states = {id(q) for q in a.states}
+    events = {id(e) for e in a.alphabet.events}
+    assert all(id(q) in states and id(e) in events and id(t) in states
+               for (q, e), t in a.transitions.items())
+    assert id(a.initial) in states and all(id(q) in states for q in a.marked)
 
 
 @settings(max_examples=50, deadline=None)

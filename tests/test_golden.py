@@ -17,7 +17,8 @@ import tracemalloc
 import pytest
 
 from desctl import espec, fms, sim
-from desctl.automata import Alphabet, Automaton, automaton_to_dict, save_automaton
+from desctl.automata import (Alphabet, Automaton, automaton_to_dict, load_automaton,
+                             save_automaton)
 from desctl.control import closed_loop, supcon
 from desctl.dot import export_dot
 
@@ -45,6 +46,18 @@ def test_seeded_random_run_report(plant):
     report = sim.run(plant, sups, sim.Random(5), 3000)
     assert _digest(sim.report_to_json(report)) == (
         "003eac35597f8e4be38824ecef4a58de0fc5455fccd6baf83e45db0a4f04d4a3")
+
+
+def test_scripted_run_blocked_mid_script(plant):
+    # S2 vetoes R.place4, the sixth of ten scripted events.
+    sups = [fms.build_supervisor(1), fms.build_supervisor(2)]
+    script = ("C1.load", "R.pick1", "R.place3", "M.start", "R.pick3",
+              "R.place4", "L.start1", "R.pick4", "R.place6", "A.on")
+    report = sim.run(plant, sups, sim.Scripted(script), 100)
+    assert (report.steps_taken, report.blocked_event) == (5, "R.place4")
+    assert _digest(sim.report_to_json(report)) == (
+        "80b9dcec65ac4e96b2b6d75a9f46e742b1955ddf2c2247545e90b838d7485d77")
+    assert sim.replay(plant, sups, report)
 
 
 @pytest.mark.parametrize("category, digest", [
@@ -98,6 +111,21 @@ def test_saving_the_closed_loop_streams(loop, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000
+
+
+def test_loading_the_kd1_supervisor_shares_names(kd1_supervisor, tmp_path):
+    # 4,992 states and 50,880 transitions: a loader that keeps its own copy of
+    # each name in every row still holds about 19 MB once loading is done.
+    path = tmp_path / "sup.json"
+    save_automaton(kd1_supervisor, path)
+    tracemalloc.start()
+    try:
+        loaded = load_automaton(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loaded == kd1_supervisor
+    assert held < 10_000_000
 
 
 def test_closed_loop_dot(loop):

@@ -1,16 +1,18 @@
+import copy
 import random
 import time
 
 import pytest
 
 from desctl import fms, sim
-from desctl.automata import BadQueryError
+from desctl.automata import Alphabet, Automaton, BadQueryError
 from desctl.compose import successors
 from desctl.control import SupervisorSet, closed_loop
 from desctl.sim import (Configuration, Interactive, NotEnabledError, Random,
                         ScriptError, Scripted, initial_configuration, enabled,
                         fire, is_marked, replay, report_from_dict,
                         report_to_dict, report_to_json, run)
+from oracles import replay_oracle
 
 CAT1_PATH = ("C1.load", "R.pick1", "R.place3", "M.start", "R.pick3",
              "R.place4", "L.start1", "R.pick4", "R.place6", "A.on")
@@ -202,6 +204,130 @@ class TestReplay:
     def test_round_trip_through_dict(self, plant, sups):
         report = run(plant, sups, Random(5), 30)
         assert report_from_dict(report_to_dict(report)) == report
+
+    def test_forged_deadlock_detected(self, plant, sups):
+        # The cell never stops, so something is enabled after every step.
+        report = run(plant, sups, Random(6), 20)
+        assert replay(plant, sups, report)
+        assert not replay(plant, sups, sim.RunReport(
+            report.trace, report.steps_taken, True, report.blocked_event,
+            report.completions, report.final_marked))
+
+    def test_forged_blocked_event_detected(self, plant, sups):
+        report = run(plant, sups, Random(8), 20)
+        final = report.trace[-1][1]
+        on = enabled(plant, sups, final)
+
+        def blocked_on(e):
+            return replay(plant, sups, sim.RunReport(
+                report.trace, report.steps_taken, report.deadlocked, e,
+                report.completions, report.final_marked))
+
+        assert not blocked_on("nonsense")
+        assert not blocked_on(on[0])
+        # A plant event the final configuration disables is what a blocked
+        # script would record there.
+        assert blocked_on(next(e for e in plant.alphabet.events if e not in on))
+
+
+def _deadlocking_plant() -> Automaton:
+    """a, then b or c; b leads to a state with no way out."""
+    return Automaton("dead", Alphabet((("a", True), ("b", True), ("c", False))),
+                     ("p0", "p1", "p2"),
+                     {("p0", "a"): "p1", ("p1", "b"): "p2", ("p1", "c"): "p0"},
+                     "p0", ("p0",))
+
+
+def _policies(g: Automaton) -> list:
+    """Each kind of policy, with scripts over ``g``'s own events."""
+    lines = iter(["1", "2", "state", "undo", "1", "quit"])
+    scripts = ([CAT1_PATH, CAT1_PATH[:4]] if "C1.load" in g.alphabet
+               else [("a", "b", "a"), ("a", "c", "a", "b")])
+    return [Random(1), Random(2), *map(Scripted, scripts),
+            Interactive(read=lambda _prompt: next(lines), write=lambda _s: None)]
+
+
+@pytest.mark.parametrize("loop", ["fms", "dead"])
+def test_every_run_replays(plant, sups, loop):
+    # The cell with S1 and S2, and a plant that deadlocks, under every policy:
+    # runs that block, deadlock, stop at max_steps or quit.
+    g, s = (plant, list(sups)) if loop == "fms" else (_deadlocking_plant(), [])
+    reports = [run(g, s, policy, max_steps)
+               for max_steps in (0, 3, 60) for policy in _policies(g)]
+    for report in reports:
+        assert replay(g, s, report)
+        assert replay_oracle(g, s, report_to_dict(report), sim.COMPLETION_EVENTS)
+    assert any(r.blocked_event for r in reports)
+    assert any(r.deadlocked for r in reports) == (loop == "dead")
+
+
+TAMPERINGS = ["event the plant disables", "event only a supervisor disables",
+              "event outside the plant alphabet", "wrong component state",
+              "truncated trace", "flipped final_marked"]
+
+
+def _tamper(plant, sups, doc: dict, how: str, rng) -> dict:
+    """A copy of the report dict ``doc`` with one defect of the kind ``how``."""
+    doc = copy.deepcopy(doc)
+    trace = doc["trace"]
+    components = [plant, *sups]
+    k = rng.randrange(1, len(trace))
+    if how == "truncated trace":
+        del trace[k:]
+    elif how == "flipped final_marked":
+        doc["final_marked"] = not doc["final_marked"]
+    elif how == "event outside the plant alphabet":
+        trace[k]["event"] = "Z.nowhere"
+    elif how == "wrong component state":
+        cfg = trace[k]["configuration"]
+        states = [cfg["plant_state"], *cfg["sup_states"]]
+        i = rng.randrange(len(states))
+        states[i] = rng.choice([q for q in components[i].states if q != states[i]])
+        trace[k]["configuration"] = {"plant_state": states[0], "sup_states": states[1:]}
+    else:
+        # The first step from k on (wrapping round) where such an event exists.
+        for k in [*range(k, len(trace)), *range(1, k)]:
+            cfg = trace[k - 1]["configuration"]
+            cur = [cfg["plant_state"], *cfg["sup_states"]]
+            plant_off = [e for e in plant.alphabet.events if (cur[0], e) not in plant.transitions]
+            vetoed = [e for e in plant.alphabet.events if e not in plant_off
+                      and any(e in s.alphabet and (q, e) not in s.transitions
+                              for s, q in zip(sups, cur[1:]))]
+            choices = plant_off if how == "event the plant disables" else vetoed
+            if choices:
+                break
+        e = rng.choice(choices)
+        # Where the loop would be if the disabling components let e through,
+        # so that only the event itself is wrong.
+        nxt = [a.transitions.get((q, e), q) for a, q in zip(components, cur)]
+        trace[k] = {"event": e, "configuration": {"plant_state": nxt[0], "sup_states": nxt[1:]}}
+    return doc
+
+
+@pytest.mark.parametrize("how", TAMPERINGS)
+def test_replay_agrees_with_the_oracle_on_tampered_reports(plant, sups, how):
+    rng = random.Random(TAMPERINGS.index(how))
+    for seed in range(5):
+        doc = report_to_dict(run(plant, sups, Random(seed), 40))
+        assert replay_oracle(plant, sups, doc, sim.COMPLETION_EVENTS)
+        bad = _tamper(plant, sups, doc, how, rng)
+        assert bad != doc
+        assert not replay_oracle(plant, sups, bad, sim.COMPLETION_EVENTS)
+        assert not replay(plant, sups, report_from_dict(bad))
+
+
+def test_replay_cost_does_not_grow_with_the_alphabet():
+    # One state with a self-loop on each of 2,000 events: a replay that
+    # rebuilds the enabled set per step does 2,000 probes a step.
+    events = tuple(f"e{i}" for i in range(2000))
+    g = Automaton("loops", Alphabet(tuple((e, True) for e in events)), ("q",),
+                  {("q", e): "q" for e in events}, "q", ("q",))
+    script = tuple(random.Random(9).choice(events) for _ in range(20_000))
+    start = time.monotonic()
+    report = run(g, [], Scripted(script), 20_000)
+    assert report.steps_taken == 20_000
+    assert replay(g, [], report)
+    assert time.monotonic() - start < 2.0
 
 
 class TestInteractive:
