@@ -17,14 +17,16 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from . import InputError
+
 EVENT_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9._]*\Z")
 
 
-class BadQueryError(ValueError):
+class BadQueryError(InputError):
     """A query referenced a state or event the automaton does not know."""
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
     """A model file or in-memory description is malformed.
 
     ``where`` points at the offending element (e.g. ``transitions[3]``).
@@ -359,7 +361,8 @@ def automaton_to_dict(a: Automaton) -> dict:
     }
 
 
-_JSON_KINDS = {str: "a string", list: "a list", bool: "true or false"}
+_JSON_KINDS = {str: "a string", list: "a list", bool: "true or false", int: "an integer",
+               dict: "an object", (str, type(None)): "a string or null"}
 
 
 def _expect(value, kind: type, where: str):
@@ -368,6 +371,19 @@ def _expect(value, kind: type, where: str):
         raise ModelFormatError(
             f"expected {_JSON_KINDS[kind]}, found {type(value).__name__}", where)
     return value
+
+
+def check_shape(value, shape, where: str) -> None:
+    """ModelFormatError, located, at the first part of ``value`` not of the JSON ``shape``."""
+    # A shape is a key of _JSON_KINDS, a dict of the shapes of required
+    # fields, or a one-item list holding the shape of every item.
+    _expect(value, shape if isinstance(shape, (type, tuple)) else type(shape), where)
+    for key, field in shape.items() if isinstance(shape, dict) else ():
+        if key not in value:
+            raise ModelFormatError(f"missing field {key!r}", where)
+        check_shape(value[key], field, f"{where}.{key}")
+    for i, item in enumerate(value) if isinstance(shape, list) else ():
+        check_shape(item, shape[0], f"{where}[{i}]")
 
 
 def _expect_strings(values: list, where: str) -> None:

@@ -8,22 +8,34 @@ ANSI styling.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import sys
 
 import click
 
-from . import __version__, dot, espec, fms, sim
-from .automata import (Automaton, BadQueryError, ModelFormatError,
-                       load_automaton, save_automaton)
-from .compose import ComposeError, free_delimiter, parallel
-from .control import (AlphabetError, check_controllability,
-                      check_nonconflicting, supcon)
+from . import PARTITIONS, InputError, __version__
 
-INPUT_ERRORS = (ModelFormatError, ComposeError, AlphabetError, BadQueryError,
-                espec.SpecSyntaxError, espec.UnknownEventError, sim.ScriptError,
-                OSError, UnicodeDecodeError)
+# Name -> the desctl module that defines it.  Each is imported on first use
+# (PEP 562), so a command loads only the layers it calls.
+_LAZY = {name: module for module, names in {
+    "automata": "Automaton BadQueryError ModelFormatError load_automaton save_automaton",
+    "compose": "ComposeError free_delimiter parallel", "dot": "dot", "espec": "espec",
+    "control": "AlphabetError check_controllability check_nonconflicting supcon",
+    "fms": "fms", "sim": "sim"}.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+# Commands reach those names through the module object at call time, so they
+# call whatever a caller has since set on the module.
+_lazy = sys.modules[__name__]
 
 
 def _fail(message: str) -> "SystemExit":
@@ -52,7 +64,7 @@ class _Desctl(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except INPUT_ERRORS as exc:
+        except (InputError, OSError, UnicodeDecodeError) as exc:
             raise _fail(str(exc)) from None
 
 
@@ -67,7 +79,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="JSON verdict on stdout.")
 def cmd_validate(model, as_json):
     """Check an automaton file against the structural invariants."""
-    a = load_automaton(model)
+    a = _lazy.load_automaton(model)
     diags = a.validate()
     if as_json:
         _emit_json({"valid": not diags, "diagnostics": diags})
@@ -87,11 +99,11 @@ def cmd_validate(model, as_json):
               "doubled until no component state name contains it.")
 def cmd_compose(models, output, delim):
     """Parallel composition of two or more automaton files."""
-    automata = [load_automaton(m) for m in models]
+    automata = [_lazy.load_automaton(m) for m in models]
     if delim is None:
-        delim = free_delimiter(automata)
-    product = parallel(automata, delimiter=delim)
-    save_automaton(product, output)
+        delim = _lazy.free_delimiter(automata)
+    product = _lazy.parallel(automata, delimiter=delim)
+    _lazy.save_automaton(product, output)
     click.echo(f"{len(product.states)} states, {len(product.alphabet)} events "
                f"-> {output}")
 
@@ -104,12 +116,12 @@ def cmd_compose(models, output, delim):
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 def cmd_compile_spec(spec, alphabet_model, output):
     """Compile a spec expression file to a minimal trim automaton."""
-    alphabet = load_automaton(alphabet_model).alphabet
+    alphabet = _lazy.load_automaton(alphabet_model).alphabet
     with open(spec, "r", encoding="utf-8") as fh:
         text = fh.read()
-    compiled = espec.compile_text(text, alphabet,
-                                  name=os.path.splitext(os.path.basename(spec))[0])
-    save_automaton(compiled, output)
+    compiled = _lazy.espec.compile_text(text, alphabet,
+                                        name=os.path.splitext(os.path.basename(spec))[0])
+    _lazy.save_automaton(compiled, output)
     click.echo(f"{len(compiled.states)} states -> {output}")
 
 
@@ -118,8 +130,8 @@ def cmd_compile_spec(spec, alphabet_model, output):
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 def cmd_minimize(model, output):
     """Minimize an automaton, preserving generated and marked languages."""
-    a = espec.minimize(load_automaton(model))
-    save_automaton(a, output)
+    a = _lazy.espec.minimize(_lazy.load_automaton(model))
+    _lazy.save_automaton(a, output)
     click.echo(f"{len(a.states)} states -> {output}")
 
 
@@ -129,7 +141,8 @@ def cmd_minimize(model, output):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_equivalent(model_a, model_b, as_json):
     """Are two automata language-equivalent (generated and marked)?"""
-    eq, witness = espec.equivalent(load_automaton(model_a), load_automaton(model_b))
+    eq, witness = _lazy.espec.equivalent(_lazy.load_automaton(model_a),
+                                         _lazy.load_automaton(model_b))
     if as_json:
         _emit_json({"equivalent": eq,
                     "distinguishing": None if eq else list(witness)})
@@ -147,7 +160,7 @@ def cmd_equivalent(model_a, model_b, as_json):
               help="Output file; stdout when omitted.")
 def cmd_export_dot(model, output):
     """Render an automaton as Graphviz DOT."""
-    text = dot.export_dot(load_automaton(model))
+    text = _lazy.dot.export_dot(_lazy.load_automaton(model))
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -156,20 +169,20 @@ def cmd_export_dot(model, output):
 
 
 def _maybe_partition(a: Automaton, partition: str | None) -> Automaton:
-    return a if partition is None else fms.apply_partition(a, partition)
+    return a if partition is None else _lazy.fms.apply_partition(a, partition)
 
 
 @main.command("check-ctrl")
 @click.option("--plant", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--sup", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--partition", type=click.Choice(fms.PARTITIONS), default=None,
+@click.option("--partition", type=click.Choice(PARTITIONS), default=None,
               help="Re-flag corpus events per a named controllability partition.")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_check_ctrl(plant, sup, partition, as_json):
     """Verify a supervisor's controllability against a plant."""
-    plant_a = _maybe_partition(load_automaton(plant), partition)
-    sup_a = _maybe_partition(load_automaton(sup), partition)
-    report = check_controllability(plant_a, sup_a)
+    plant_a = _maybe_partition(_lazy.load_automaton(plant), partition)
+    sup_a = _maybe_partition(_lazy.load_automaton(sup), partition)
+    report = _lazy.check_controllability(plant_a, sup_a)
     if as_json:
         ce = None
         if report.counterexample is not None:
@@ -192,8 +205,8 @@ def cmd_check_ctrl(plant, sup, partition, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_check_conflict(plant, sups, as_json):
     """Check that the modular closed loop is nonblocking."""
-    report = check_nonconflicting(load_automaton(plant),
-                                  [load_automaton(s) for s in sups])
+    report = _lazy.check_nonconflicting(_lazy.load_automaton(plant),
+                                        [_lazy.load_automaton(s) for s in sups])
     if as_json:
         _emit_json({"nonconflicting": report.nonconflicting,
                     "counterexample": None if report.nonconflicting
@@ -214,13 +227,13 @@ def cmd_check_conflict(plant, sups, as_json):
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 def cmd_synth(plant, spec_path, output):
     """Synthesize the supremal controllable supervisor for a spec."""
-    plant_a = load_automaton(plant)
+    plant_a = _lazy.load_automaton(plant)
     with open(spec_path, "r", encoding="utf-8") as fh:
-        spec_a = espec.compile_text(
+        spec_a = _lazy.espec.compile_text(
             fh.read(), plant_a.alphabet,
             name=os.path.splitext(os.path.basename(spec_path))[0])
-    result = supcon(plant_a, spec_a)
-    save_automaton(result, output)
+    result = _lazy.supcon(plant_a, spec_a)
+    _lazy.save_automaton(result, output)
     note = " (empty: no controllable behavior)" if result.is_empty else ""
     click.echo(f"{len(result.states)} states -> {output}{note}")
 
@@ -241,23 +254,23 @@ def cmd_simulate(plant, sups, script_path, random_mode, interactive_mode,
     modes = sum(map(bool, (script_path, random_mode, interactive_mode)))
     if modes != 1:
         raise _fail("choose exactly one of --script, --random, --interactive")
-    plant_a = load_automaton(plant)
-    sup_list = [load_automaton(s) for s in sups]
+    plant_a = _lazy.load_automaton(plant)
+    sup_list = [_lazy.load_automaton(s) for s in sups]
     if script_path:
         with open(script_path, "r", encoding="utf-8") as fh:
             events = []
             for line in fh:
                 line = line.split("#", 1)[0]
                 events.extend(line.split())
-        policy: sim.Policy = sim.Scripted(tuple(events))
+        policy = _lazy.sim.Scripted(tuple(events))
     elif random_mode:
-        policy = sim.Random(seed)
+        policy = _lazy.sim.Random(seed)
     else:
-        policy = sim.Interactive()
-    report = sim.run(plant_a, sup_list, policy, steps)
+        policy = _lazy.sim.Interactive()
+    report = _lazy.sim.run(plant_a, sup_list, policy, steps)
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(sim.report_to_json(report))
+            fh.write(_lazy.sim.report_to_json(report))
     status = []
     if report.blocked_event is not None:
         status.append(f"blocked on {report.blocked_event}")
@@ -278,7 +291,7 @@ def cmd_fms():
 @click.option("-o", "--outdir", required=True, type=click.Path(file_okay=False))
 def cmd_fms_emit(outdir):
     """Write every corpus model, spec expression and the event table."""
-    written = fms.emit(outdir)
+    written = _lazy.fms.emit(outdir)
     click.echo(f"wrote {len(written)} files to {outdir}")
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .automata import Alphabet, Automaton, empty_automaton, explore, from_nodes
+from .automata import Alphabet, Automaton, InputError, empty_automaton, explore, from_nodes
 
 
-class ComposeError(ValueError):
+class ComposeError(InputError):
     pass
 
 

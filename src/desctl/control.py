@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .automata import (Automaton, backward_reachable, empty_automaton, explore,
-                       from_nodes, path_to, predecessors)
+from .automata import (Automaton, InputError, backward_reachable, empty_automaton,
+                       explore, from_nodes, path_to, predecessors)
 from .compose import all_marked, free_delimiter, parallel, product, successors
 
 
-class AlphabetError(ValueError):
+class AlphabetError(InputError):
     pass
 
 

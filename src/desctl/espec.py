@@ -21,8 +21,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import (Alphabet, Automaton, backward_reachable, empty_automaton, explore,
-                       from_nodes)
+from .automata import (Alphabet, Automaton, InputError, backward_reachable,
+                       empty_automaton, explore, from_nodes)
 
 RESERVED = {"pc"}
 # Groups nest at most this deep.  The parser and the passes over the AST
@@ -30,14 +30,14 @@ RESERVED = {"pc"}
 MAX_NESTING = 100
 
 
-class SpecSyntaxError(ValueError):
+class SpecSyntaxError(InputError):
     def __init__(self, message: str, line: int, col: int):
         self.line = line
         self.col = col
         super().__init__(f"{line}:{col}: {message}")
 
 
-class UnknownEventError(ValueError):
+class UnknownEventError(InputError):
     def __init__(self, event: str):
         self.event = event
         super().__init__(f"unknown event id {event!r}")

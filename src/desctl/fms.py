@@ -22,12 +22,11 @@ import os
 from dataclasses import dataclass, replace
 from typing import Union
 
+from . import PARTITIONS
 from .automata import Alphabet, Automaton, save_automaton
 from .compose import parallel
 
 MACHINE_KINDS = ("C1", "C2", "C3", "R", "L", "M", "P", "A")
-
-PARTITIONS = ("sec28", "sec2")
 
 _UNCONTROLLABLE = {
     "sec28": frozenset({"C1.move", "C2.move", "C3.move", "A.done1", "A.done2"}),

@@ -13,13 +13,18 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import Callable, Optional, Sequence, Union
 
-from .automata import Automaton, BadQueryError, JsonStrings, json_list
+from .automata import Automaton, BadQueryError, InputError, JsonStrings, check_shape, json_list
 from .compose import all_marked, fired, successors
 from .control import SupervisorSet, _require_subalphabet
 
 COMPLETION_EVENTS = {"1": "A.done1", "2": "A.done2"}
+# The JSON shape of report_to_dict's output (see automata.check_shape).
+_REPORT = {"trace": list, "steps_taken": int, "deadlocked": bool, "completions": {},
+           "blocked_event": (str, type(None)), "final_marked": bool}
+_ROW = {"event": str, "configuration": {"plant_state": str, "sup_states": [str]}}
 
 
 class NotEnabledError(ValueError):
@@ -31,7 +36,7 @@ class NotEnabledError(ValueError):
         super().__init__(f"event {event!r} is not enabled (blocked by {blocker})")
 
 
-class ScriptError(ValueError):
+class ScriptError(InputError):
     """A scripted event is not in the plant alphabet."""
 
 
@@ -95,7 +100,9 @@ def enabled(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
             cfg: Configuration) -> tuple[str, ...]:
     """Events enabled by the plant and every declaring supervisor."""
     components, cur = _checked(plant, sups, cfg)
-    return tuple(e for e, _ in successors(components, plant.alphabet)(cur))
+    # The plant's out-edges, each tried only on the supervisors that declare it.
+    return tuple(e for e, _ in plant.edges(cur[0]) if all(
+        (q, e) in s.transitions for s, q in zip(components[1:], cur[1:]) if e in s.alphabet))
 
 
 def fire(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
@@ -273,16 +280,18 @@ def report_to_json(report: RunReport) -> str:
 
 
 def report_from_dict(doc: dict) -> RunReport:
-    return RunReport(
-        trace=tuple(
-            (row["event"],
-             Configuration(row["configuration"]["plant_state"],
-                           tuple(row["configuration"]["sup_states"])))
-            for row in doc["trace"]
-        ),
-        steps_taken=doc["steps_taken"],
-        deadlocked=doc["deadlocked"],
-        blocked_event=doc["blocked_event"],
-        completions=dict(doc["completions"]),
-        final_marked=doc["final_marked"],
-    )
+    """The report a :func:`report_to_dict` document describes; ModelFormatError, located, if not."""
+    check_shape(doc, _REPORT, "report")
+    # The rows are checked a column at a time at C speed, and located only on failure.
+    try:
+        cfgs = [row["configuration"] for row in doc["trace"]]
+        events, states = [row["event"] for row in doc["trace"]], [c["plant_state"] for c in cfgs]
+        sups = [c["sup_states"] for c in cfgs]
+        if not (all(map(isinstance, sups, repeat(list)))
+                and all(map(isinstance, chain(events, states, *sups), repeat(str)))):
+            raise TypeError("a field of the wrong type")
+    except (TypeError, KeyError):
+        check_shape(doc["trace"], [_ROW], "report.trace")
+    return RunReport(tuple(zip(events, map(Configuration, states, map(tuple, sups)))),
+                     doc["steps_taken"], doc["deadlocked"], doc["blocked_event"],
+                     dict(doc["completions"]), doc["final_marked"])

@@ -1,7 +1,10 @@
+import copy
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desctl import fms
 from desctl.automata import load_automaton
@@ -351,3 +354,97 @@ def test_mistyped_model_fields_exit_two_with_one_line(runner, corpus, tmp_path,
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("desctl: ")
     assert "Traceback" not in result.output
+
+
+# -- fuzzing the exit-code contract -------------------------------------------
+
+_BASE = {"name": "B",
+         "events": [{"id": "a", "controllable": True}, {"id": "b", "controllable": False}],
+         "states": ["p", "q", "r"], "initial": "p", "marked": ["p"],
+         "transitions": [{"from": "p", "on": "a", "to": "q"}, {"from": "q", "on": "b", "to": "p"},
+                         {"from": "q", "on": "a", "to": "r"}]}
+# Values that are names of the model, or near misses of one.
+_NAMES = st.sampled_from(["p", "q", "r", "a", "b", "c", "", "a b", "1a", "p|q", "B"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _NAMES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_NAMES, kids, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _model_text(draw) -> str:
+    """The base model with one to three fields replaced, added or deleted, or its
+    text cut short."""
+    doc = copy.deepcopy(_BASE)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            if not isinstance(node[key], (dict, list)) or draw(st.booleans()):
+                break
+            node = node[key]
+        if keys and draw(st.integers(0, 4)) == 0:
+            del node[key]
+        elif keys and draw(st.booleans()):
+            node[key] = draw(_JSON)
+        elif isinstance(node, dict):
+            node[draw(_NAMES)] = draw(_JSON)
+        else:
+            node.append(draw(_JSON))
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 5)) == 0 else text
+
+
+_SPEC_TOKENS = st.sampled_from(["a", "b", "c", "(", ")", "+", "*", "pc(", "pc", "#", " ",
+                                "\n", "1", ".", ")(", "a.b", "é", "\t"])
+
+
+def _assert_contract(result) -> None:
+    # An uncaught exception would be a traceback and exit 1.
+    assert result.exit_code in (0, 1, 2)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert "Traceback" not in result.output
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "base.json").write_text(json.dumps(_BASE))
+    (root / "base.expr").write_text("pc((a b)*)\n")
+    (root / "base.script").write_text("a b a\n")
+    return root
+
+
+# Derandomized, so that the suite is reproducible; raise max_examples to
+# search further.
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(text=_model_text())
+def test_fuzzed_models_keep_the_exit_code_contract(fuzz_dir, text):
+    model, base = str(fuzz_dir / "m.json"), str(fuzz_dir / "base.json")
+    (fuzz_dir / "m.json").write_text(text)
+    out = str(fuzz_dir / "out.json")
+    runner = CliRunner()
+    for args in (["validate", model], ["compose", model, base, "-o", out],
+                 ["check-ctrl", "--plant", base, "--sup", model],
+                 ["check-ctrl", "--plant", model, "--sup", base],
+                 ["compile-spec", str(fuzz_dir / "base.expr"), "--alphabet", model, "-o", out],
+                 ["equivalent", model, base],
+                 ["simulate", "--plant", model, "--sup", base,
+                  "--script", str(fuzz_dir / "base.script"), "--steps", "5"]):
+        _assert_contract(runner.invoke(main, args))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tokens=st.lists(_SPEC_TOKENS, max_size=12))
+def test_fuzzed_specs_and_scripts_keep_the_exit_code_contract(fuzz_dir, tokens):
+    (fuzz_dir / "s.txt").write_text("".join(tokens))
+    (fuzz_dir / "w.txt").write_text(" ".join(tokens))
+    base, runner = str(fuzz_dir / "base.json"), CliRunner()
+    for args in (["compile-spec", str(fuzz_dir / "s.txt"), "--alphabet", base,
+                  "-o", str(fuzz_dir / "out.json")],
+                 ["simulate", "--plant", base, "--script", str(fuzz_dir / "w.txt"),
+                  "--steps", "5"]):
+        _assert_contract(runner.invoke(main, args))

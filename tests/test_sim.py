@@ -5,7 +5,7 @@ import time
 import pytest
 
 from desctl import fms, sim
-from desctl.automata import Alphabet, Automaton, BadQueryError
+from desctl.automata import Alphabet, Automaton, BadQueryError, ModelFormatError
 from desctl.compose import successors
 from desctl.control import SupervisorSet, closed_loop
 from desctl.sim import (Configuration, Interactive, NotEnabledError, Random,
@@ -106,6 +106,18 @@ class TestEnabledAndFire:
                 with pytest.raises(NotEnabledError) as err:
                     fire(plant, sups, cfg, e)
                 assert (err.value.event, err.value.blocker) == (e, blocker)
+
+    def test_enabled_agrees_with_the_step_rule(self, plant, sups):
+        # At configurations that random runs reach, with no, one or both
+        # supervisors: the step rule's events, in plant-alphabet order.
+        rng = random.Random(12)
+        for sup_list in ([], [sups.supervisors[1]], list(sups)):
+            step = successors([plant, *sup_list], plant.alphabet)
+            configurations = {cfg for seed in range(10)
+                              for _e, cfg in run(plant, sup_list, Random(seed), 100).trace}
+            for cfg in rng.sample(sorted(configurations, key=repr), 100):
+                cur = (cfg.plant_state, *cfg.sup_states)
+                assert enabled(plant, sup_list, cfg) == tuple(e for e, _ in step(cur))
 
     def test_marked_only_when_every_component_agrees(self, plant, sups):
         cfg = initial_configuration(plant, sups)
@@ -314,6 +326,78 @@ def test_replay_agrees_with_the_oracle_on_tampered_reports(plant, sups, how):
         assert bad != doc
         assert not replay_oracle(plant, sups, bad, sim.COMPLETION_EVENTS)
         assert not replay(plant, sups, report_from_dict(bad))
+
+
+def _set(doc: dict, path: tuple, value) -> dict:
+    """A copy of ``doc`` with the field at ``path`` set to ``value``, or deleted if it is _DEL."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _DEL:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+_DEL = object()
+
+MALFORMED_REPORTS = [
+    # (path, value, the location in the error)
+    (("trace", 1, "event"), ["C1.load"], "report.trace[1].event"),
+    (("trace", 1, "configuration"), _DEL, "report.trace[1]"),
+    (("trace", 1, "configuration"), ["q", []], "report.trace[1].configuration"),
+    (("trace", 2, "configuration", "plant_state"), _DEL, "report.trace[2].configuration"),
+    (("trace", 2, "configuration", "plant_state"), 3, "report.trace[2].configuration.plant_state"),
+    (("trace", 0, "configuration", "sup_states"), "qS1_1",
+     "report.trace[0].configuration.sup_states"),
+    (("trace", 0, "configuration", "sup_states"), {"S1": "qS1_1"},
+     "report.trace[0].configuration.sup_states"),
+    (("trace", 3, "configuration", "sup_states", 1), None,
+     "report.trace[3].configuration.sup_states[1]"),
+    (("trace", 4), "C1.load", "report.trace[4]"),
+    (("trace", 4), ["C1.load", {}], "report.trace[4]"),
+    (("trace",), {"event": "C1.load"}, "report.trace"),
+    (("trace",), _DEL, "report"),
+    (("steps_taken",), "5", "report.steps_taken"),
+    (("deadlocked",), None, "report.deadlocked"),
+    (("blocked_event",), ["R.place4"], "report.blocked_event"),
+    (("completions",), [["1", 0]], "report.completions"),
+    (("final_marked",), _DEL, "report"),
+]
+
+
+@pytest.mark.parametrize("path,value,where", MALFORMED_REPORTS,
+                         ids=[f"{'.'.join(map(str, p))}={'deleted' if v is _DEL else repr(v)}"
+                              for p, v, _ in MALFORMED_REPORTS])
+def test_malformed_report_dict_is_a_located_format_error(plant, sups, path, value, where):
+    doc = report_to_dict(run(plant, sups, Random(9), 6))
+    with pytest.raises(ModelFormatError) as err:
+        report_from_dict(_set(doc, path, value))
+    assert err.value.where == where
+
+
+@pytest.mark.parametrize("doc", [None, [], "report", {"trace": []}])
+def test_report_that_is_not_a_report_dict_is_a_format_error(doc):
+    with pytest.raises(ModelFormatError):
+        report_from_dict(doc)
+
+
+def test_well_typed_tampering_replays_false_without_raising(plant, sups):
+    # Every field set to another value of its own JSON type: each report
+    # loads, and replay refutes it instead of raising.
+    report = run(plant, sups, Random(9), 6)
+    doc = report_to_dict(report)
+    assert replay(plant, sups, report_from_dict(doc))
+    for path, value in [(("trace", 1, "event"), "Z.nowhere"),
+                        (("trace", 1, "configuration", "sup_states"), []),
+                        (("trace", 1, "configuration", "sup_states"), ["a", "b", "c"]),
+                        (("trace", 1, "configuration", "plant_state"), ""),
+                        (("steps_taken",), -1), (("completions",), {}),
+                        (("completions",), {"1": "one"}), (("blocked_event",), "Z.nowhere")]:
+        assert not replay(plant, sups, report_from_dict(_set(doc, path, value)))
 
 
 def test_replay_cost_does_not_grow_with_the_alphabet():
