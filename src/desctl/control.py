@@ -78,6 +78,20 @@ def closed_loop(plant: Automaton, sups: SupervisorSet | Sequence[Automaton]) -> 
     return parallel(components, delimiter=free_delimiter(components))
 
 
+def _first_disabled(plant: Automaton, sup: Automaton):
+    """``first(qp, qs)``: the first uncontrollable event, in plant order, that the
+    plant enables at ``qp`` and ``sup`` declares but disables at ``qs``, or None."""
+    guarded = [e for e in plant.alphabet.uncontrollable if e in sup.alphabet]
+
+    def first(qp, qs):
+        for e in guarded:
+            if (qp, e) in plant.transitions and (qs, e) not in sup.transitions:
+                return e
+        return None
+
+    return first
+
+
 def check_controllability(plant: Automaton, sup: Automaton) -> ControllabilityReport:
     """Does the supervisor never disable an uncontrollable plant event?
 
@@ -91,16 +105,12 @@ def check_controllability(plant: Automaton, sup: Automaton) -> ControllabilityRe
     if plant.initial is None or sup.initial is None:
         return ControllabilityReport(True, None, 0)
     step = successors([plant, sup], plant.alphabet)
-    guarded = [e for e in plant.alphabet.uncontrollable if e in sup.alphabet]
+    first = _first_disabled(plant, sup)
 
     def check(node):
-        edges = step(node)
-        qp, qs = node
-        for e in guarded:
-            if (qp, e) in plant.transitions and (qs, e) not in sup.transitions:
-                edges.append((e, None))
-                break
-        return edges
+        # A violation ends the search at this node, so its other edges are moot.
+        e = first(*node)
+        return step(node) if e is None else [(e, None)]
 
     order, _, witness = explore((plant.initial, sup.initial), check)
     if witness is None:
@@ -153,9 +163,8 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     preds = predecessors(trans.items())
     upreds = predecessors(kt for kt in trans.items() if kt[0][1] in uncontrollable)
     good = set(states)
-    # Uncontrollable: the plant enables an uncontrollable event the spec disables.
-    removed = {q for q in states for e in uncontrollable
-               if (q[0], e) in plant.transitions and (q, e) not in trans}
+    first = _first_disabled(plant, spec)
+    removed = {q for q in states if first(*q) is not None}
     while True:
         # The attractor stops at states deleted in earlier rounds: their
         # uncontrollable predecessors were deleted with them.

@@ -8,11 +8,12 @@ union; whitespace is insignificant, ``#`` starts a line comment)::
     factor := atom '*'?
     atom   := IDENT | '(' expr ')' | 'pc' '(' expr ')'
 
-``pc(x)`` denotes the prefix closure of ``x``.  Compilation goes through a
-small epsilon-NFA, subset construction and minimization; no expression
-denotes the empty language, so the subset automaton is already trim.  The
-output automaton is trim, minimal, keeps a partial transition map, and its
-marked language is the expression's denotation.
+``pc(x)`` denotes the prefix closure of ``x``.  Compilation builds
+Glushkov's position automaton (one state per event leaf, no epsilon moves),
+determinizes it over sets of positions and minimizes the result; no
+expression denotes the empty language, so the subset automaton is already
+trim.  The output automaton is trim, minimal, keeps a partial transition map,
+and its marked language is the expression's denotation.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import (Alphabet, Automaton, InputError, backward_reachable,
-                       empty_automaton, explore, from_nodes)
+from .automata import (Alphabet, Automaton, InputError, empty_automaton, explore,
+                       from_nodes)
 
 RESERVED = {"pc"}
 # Groups nest at most this deep.  The parser and the passes over the AST
@@ -214,98 +215,75 @@ def parse(text: str) -> Expr:
     return ast
 
 
-# -- NFA machinery --------------------------------------------------------
+# -- position automaton ---------------------------------------------------
 
-class _Nfa:
-    """Epsilon-NFA fragment with a single start and a single accept state."""
+def _positions(ast: Expr, alphabet: Alphabet, events: list[str],
+               follow: list[set[int]]) -> tuple[bool, list[int], list[int]]:
+    """Glushkov's ``(nullable, first, last)`` of ``ast``; fills ``follow``.
 
-    def __init__(self):
-        self.n = 0
-        self.eps: dict[int, set[int]] = defaultdict(set)
-        self.trans: dict[tuple[int, str], set[int]] = defaultdict(set)
-
-    def state(self) -> int:
-        self.n += 1
-        return self.n - 1
-
-    def add_eps(self, a: int, b: int) -> None:
-        self.eps[a].add(b)
-
-    def add(self, a: int, e: str, b: int) -> None:
-        self.trans[(a, e)].add(b)
-
-    def closure(self, states: frozenset[int]) -> frozenset[int]:
-        # The search walks any {node: [next, ...]} map; here, forward along epsilon moves.
-        return frozenset(backward_reachable(self.eps, states))
-
-
-def _build_fragment(nfa: _Nfa, ast: Expr, alphabet: Alphabet) -> tuple[int, int]:
+    Event leaves become positions left to right, each appending its event to
+    ``events`` and the set of positions that may come next to ``follow``.
+    The first leaf outside ``alphabet`` raises UnknownEventError.
+    """
     if isinstance(ast, Epsilon):
-        s, a = nfa.state(), nfa.state()
-        nfa.add_eps(s, a)
-        return s, a
+        return True, [], []
     if isinstance(ast, Sym):
         if ast.event not in alphabet:
             raise UnknownEventError(ast.event)
-        s, a = nfa.state(), nfa.state()
-        nfa.add(s, ast.event, a)
-        return s, a
+        events.append(ast.event)
+        follow.append(set())
+        return False, [len(events) - 1], [len(events) - 1]
     if isinstance(ast, Concat):
-        first_s, prev_a = _build_fragment(nfa, ast.parts[0], alphabet)
-        for part in ast.parts[1:]:
-            s, a = _build_fragment(nfa, part, alphabet)
-            nfa.add_eps(prev_a, s)
-            prev_a = a
-        return first_s, prev_a
-    if isinstance(ast, Union):
-        s, a = nfa.state(), nfa.state()
+        nullable, first, last = True, [], []
         for part in ast.parts:
-            ps, pa = _build_fragment(nfa, part, alphabet)
-            nfa.add_eps(s, ps)
-            nfa.add_eps(pa, a)
-        return s, a
+            n, f, l = _positions(part, alphabet, events, follow)
+            for p in last:
+                follow[p].update(f)
+            if nullable:
+                first += f
+            last = last + l if n else l
+            nullable = nullable and n
+        return nullable, first, last
+    if isinstance(ast, Union):
+        sets = [_positions(part, alphabet, events, follow) for part in ast.parts]
+        return (any(n for n, _, _ in sets), [p for _, f, _ in sets for p in f],
+                [p for _, _, l in sets for p in l])
     if isinstance(ast, Star):
-        s, a = nfa.state(), nfa.state()
-        cs, ca = _build_fragment(nfa, ast.child, alphabet)
-        nfa.add_eps(s, cs)
-        nfa.add_eps(s, a)
-        nfa.add_eps(ca, cs)
-        nfa.add_eps(ca, a)
-        return s, a
+        _, first, last = _positions(ast.child, alphabet, events, follow)
+        for p in last:
+            follow[p].update(first)
+        return True, first, last
     if isinstance(ast, PrefClose):
-        # The grammar has no empty language, so every state of a fragment
-        # lies on a path from its start to its accept: the prefix closure
-        # accepts wherever the child fragment can be.
-        s, a = nfa.state(), nfa.state()
-        first = nfa.n
-        cs, _ = _build_fragment(nfa, ast.child, alphabet)
-        nfa.add_eps(s, cs)
-        for q in range(first, nfa.n):
-            nfa.add_eps(q, a)
-        return s, a
+        # The grammar has no empty language, so every position of the child
+        # lies on a path from its first to its last positions: the prefix
+        # closure may end at any of them, or before the first.
+        start = len(events)
+        _, first, _ = _positions(ast.child, alphabet, events, follow)
+        return True, first, list(range(start, len(events)))
     raise TypeError(f"unknown AST node {ast!r}")
 
 
 def _subset_construct(ast: Expr, alphabet: Alphabet) -> Automaton:
-    nfa = _Nfa()
-    start, accept = _build_fragment(nfa, ast, alphabet)
+    # Position 0 is the start; it is last iff the expression is nullable.
+    events, follow = [""], [set()]
+    nullable, first, last = _positions(ast, alphabet, events, follow)
+    follow[0].update(first)
+    last = frozenset(last + [0] if nullable else last)
+    rank = {e: k for k, e in enumerate(alphabet.events)}
     edges: dict[tuple[frozenset[int], str], frozenset[int]] = {}
 
     def step(subset):
-        out = []
-        for e in alphabet.events:
-            targets: set[int] = set()
-            for q in subset:
-                targets |= nfa.trans.get((q, e), set())
-            if targets:
-                tgt = nfa.closure(frozenset(targets))
-                edges[(subset, e)] = tgt
-                out.append((e, tgt))
+        targets: dict[str, set[int]] = defaultdict(set)
+        for p in subset:
+            for q in follow[p]:
+                targets[events[q]].add(q)
+        out = [(e, frozenset(targets[e])) for e in sorted(targets, key=rank.__getitem__)]
+        edges.update(((subset, e), t) for e, t in out)
         return out
 
-    order, _, _ = explore(nfa.closure(frozenset({start})), step)
+    order, _, _ = explore(frozenset({0}), step)
     return from_nodes("spec", alphabet, order, edges.items(), order[0],
-                      (s for s in order if accept in s), lambda i, _s: f"d{i}")
+                      (s for s in order if not last.isdisjoint(s)), lambda i, _s: f"d{i}")
 
 
 def minimize(a: Automaton) -> Automaton:
@@ -378,8 +356,8 @@ def compile(ast: Expr, alphabet: Alphabet, name: str = "spec") -> Automaton:
     not depend on how the expression is written (e.g. on the order of union
     terms).
     """
-    # Every fragment state reaches the accept state, so every subset does
-    # too: the subset automaton is already trim.
+    # Every position reaches a last position, so every subset does too: the
+    # subset automaton is already trim.
     dfa = minimize(_subset_construct(ast, alphabet))
     return from_nodes(name, alphabet, dfa.states, dfa.transitions.items(), dfa.initial,
                       dfa.marked, lambda i, _q: f"s{i + 1}")

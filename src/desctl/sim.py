@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .automata import Automaton, BadQueryError, InputError, JsonStrings, check_shape, json_list
 from .compose import all_marked, fired, successors
@@ -40,8 +40,7 @@ class ScriptError(InputError):
     """A scripted event is not in the plant alphabet."""
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     plant_state: str
     sup_states: tuple[str, ...]
 

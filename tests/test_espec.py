@@ -6,7 +6,7 @@ import pytest
 
 from desctl import espec, fms
 from desctl.automata import Alphabet, Automaton
-from desctl.espec import (Concat, PrefClose, SpecSyntaxError, Star, Sym,
+from desctl.espec import (Concat, Epsilon, PrefClose, SpecSyntaxError, Star, Sym,
                           Union, UnknownEventError, compile_text, equivalent,
                           minimize, parse)
 from oracles import (all_strings, ast_matches, nerode_classes, random_ast, random_automaton,
@@ -14,6 +14,21 @@ from oracles import (all_strings, ast_matches, nerode_classes, random_ast, rando
 
 ABC = Alphabet((("a", True), ("b", True), ("c", True)))
 FIVE = Alphabet(tuple((e, True) for e in "abcde"))
+
+
+def _with_epsilon(ast, rng):
+    """The expression with one leaf, and about a quarter of the rest, replaced by Epsilon."""
+    n = len(espec.leaves(ast))
+    index, chosen = iter(range(n)), rng.randrange(n)
+
+    def splice(x):
+        if isinstance(x, Sym):
+            return Epsilon() if next(index) == chosen or rng.random() < 0.25 else x
+        if isinstance(x, (Concat, Union)):
+            return type(x)(tuple(map(splice, x.parts)))
+        return type(x)(splice(x.child))
+
+    return splice(ast)
 
 
 class TestParse:
@@ -83,6 +98,18 @@ class TestCompile:
             compile_text("a zz", ABC)
         assert "zz" in str(err.value)
 
+    @pytest.mark.parametrize("text, unknown", [
+        ("a zz yy", "zz"),
+        ("(yy + a) zz", "yy"),
+        ("pc((a qq)* + rr)", "qq"),
+        ("a* xx* + b yy", "xx"),
+    ])
+    def test_first_unknown_leaf_named(self, text, unknown):
+        # Of several unknown events, the first leaf from left to right is named.
+        with pytest.raises(UnknownEventError) as err:
+            compile_text(text, ABC)
+        assert str(err.value) == f"unknown event id {unknown!r}"
+
     def test_alphabet_is_the_declared_one(self):
         a = compile_text("a", ABC)
         assert a.alphabet == ABC
@@ -123,6 +150,20 @@ class TestCompile:
             a = espec.compile(ast, FIVE)
             for w in words:
                 assert walk_marked(a, w) == ast_matches(ast, w), (ast, w)
+
+    def test_epsilon_agrees_with_denotation_oracle(self):
+        # The parser never produces Epsilon; compile accepts it in any position.
+        a, b = Sym("a"), Sym("b")
+        cases = [Epsilon(), Star(Epsilon()), PrefClose(Epsilon()),
+                 Concat((a, Epsilon(), b)), Union((a, Epsilon()))]
+        rng = random.Random(24)
+        asts = (random_ast(rng, list("abc")) for _ in range(400))
+        cases += [_with_epsilon(x, rng) for x in asts if not isinstance(x, Sym)][:200]
+        words = list(all_strings(list("abc"), 5))
+        for ast in cases:
+            compiled = espec.compile(ast, ABC)
+            for w in words:
+                assert walk_marked(compiled, w) == ast_matches(ast, w), (ast, w)
 
     def test_prefclose_idempotent(self):
         rng = random.Random(23)

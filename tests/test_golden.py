@@ -21,6 +21,7 @@ from desctl.automata import (Alphabet, Automaton, automaton_to_dict, load_automa
                              save_automaton)
 from desctl.control import closed_loop, supcon
 from desctl.dot import export_dot
+from oracles import random_ast
 
 
 def _digest(text: str) -> str:
@@ -67,6 +68,23 @@ def test_scripted_run_blocked_mid_script(plant):
 def test_spec_compiled_over_the_plant_alphabet(plant, category, digest):
     compiled = espec.compile_text(fms.spec_text(category), plant.alphabet)
     assert _model_digest(compiled) == digest
+
+
+def test_spec_compiled_from_random_expressions():
+    # 300 seeded expressions of depth 1-5 over five events, every third one
+    # wrapped in a prefix closure.  Recorded before spec compilation moved
+    # from a Thompson epsilon-NFA to Glushkov's position automaton.
+    five = Alphabet(tuple((e, True) for e in "abcde"))
+    rng = random.Random(31)
+    h = hashlib.sha256()
+    for i in range(300):
+        ast = random_ast(rng, list("abcde"), depth=1 + i % 5)
+        if i % 3 == 0:
+            ast = espec.PrefClose(ast)
+        h.update(json.dumps(automaton_to_dict(espec.compile(ast, five)), indent=2)
+                 .encode("utf-8"))
+    assert h.hexdigest() == (
+        "4d2b2ffa39aaa4d557724ecd062886e7591fed61130b92f038a4aca0d8ada379")
 
 
 @pytest.fixture(scope="module")
