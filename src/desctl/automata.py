@@ -501,6 +501,11 @@ def save_automaton(a: Automaton, path) -> None:
     """Write ``json.dumps(automaton_to_dict(a), indent=2)`` and a newline, a row at a time."""
     q = JsonStrings()
     events = [{"id": e, "controllable": c} for e, c in a.alphabet.entries]
+    rank = {e: k for k, e in enumerate(a.alphabet.events)}
+    rows: dict = {}  # transition keys by state, put in alphabet order as they are written
+    for key in a.transitions:
+        if key[1] in rank:
+            rows.setdefault(key[0], []).append(key)
     with open(path, "w", encoding="utf-8") as fh:
         # The name and the few events, without the closing "\n}".
         fh.write(json.dumps({"name": a.name, "events": events}, indent=2)[:-2])
@@ -509,7 +514,8 @@ def save_automaton(a: Automaton, path) -> None:
         fh.write(f',\n  "initial": {json.dumps(a.initial)},\n  "marked": ')
         fh.writelines(json_list(map(q.__getitem__, a.marked), 1))
         fh.write(',\n  "transitions": ')
-        fh.writelines(json_list((f'{{\n      "from": {q[s]},\n      "on": {q[e]},\n'
-                                 f'      "to": {q[t]}\n    }}'
-                                 for s in a.states for e, t in a.edges(s)), 1))
+        fh.writelines(json_list((f'{{\n      "from": {q[s]},\n      "on": {q[k[1]]},\n'
+                                 f'      "to": {q[a.transitions[k]]}\n    }}'
+                                 for s in a.states
+                                 for k in sorted(rows.get(s, ()), key=lambda k: rank[k[1]])), 1))
         fh.write("\n}\n")

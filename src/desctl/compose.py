@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .automata import Alphabet, Automaton, InputError, empty_automaton, explore, from_nodes
 
@@ -42,27 +42,47 @@ def successors(automata: Sequence[Automaton], alphabet: Alphabet):
     order for every event that each component declaring it can take.  A
     component that does not declare an event keeps its state.  Every event
     of ``alphabet`` must be declared by some component.
+
+    Each event is owned by the first component that declares it.  A step walks
+    each owner's out-edges at ``cur`` and probes only the other components that
+    declare the event, so it costs the enabled edges, not ``len(alphabet)``.  Each
+    owner's events must form one block of ``alphabet``, owners in component order
+    (ValueError if not), as in :func:`merged_alphabet` and a plant alphabet with the plant first.
     """
-    # Most events are disabled by the first component that declares them, so
-    # that one is checked before the next tuple is allocated.
-    declaring = [(e, i0, first, rest) for e, ((i0, first), *rest)
-                 in _declaring(automata, alphabet.events).items()]
+    # The out-edge index lives for this call only; nothing is cached on the automata.
+    declaring = _declaring(automata, alphabet.events)
+    owner = {e: d[0][0] for e, d in declaring.items()}
+    if list(owner.values()) != sorted(owner.values()):
+        raise ValueError("the alphabet does not list each owner's events in one block")
+    index = []
+    for i in dict.fromkeys(owner.values()):
+        # The rank and the other declaring components of each event that i owns.
+        mine = {e: (k, declaring[e][1:]) for k, e in enumerate(alphabet.events) if owner[e] == i}
+        rows: dict = {}
+        unsorted = set()
+        for (q, e), t in automata[i].transitions.items():
+            if (m := mine.get(e)) is not None:
+                row = rows.setdefault(q, [])
+                if row and mine[row[-1][0]][0] > m[0]:
+                    unsorted.add(q)
+                row.append((e, t, m[1]))
+        for q in unsorted:
+            rows[q].sort(key=lambda edge: mine[edge[0]][0])
+        index.append((i, rows))
 
     def step(cur):
         edges = []
-        for e, i0, first, rest in declaring:
-            t = first.get((cur[i0], e))
-            if t is None:
-                continue
-            nxt = list(cur)
-            nxt[i0] = t
-            for i, trans in rest:
-                t = trans.get((cur[i], e))
-                if t is None:
-                    break
+        for i, rows in index:
+            for e, t, rest in rows.get(cur[i], ()):
+                nxt = list(cur)
                 nxt[i] = t
-            else:
-                edges.append((e, tuple(nxt)))
+                for j, trans in rest:
+                    t = trans.get((cur[j], e))
+                    if t is None:
+                        break
+                    nxt[j] = t
+                else:
+                    edges.append((e, tuple(nxt)))
         return edges
 
     return step
@@ -91,30 +111,38 @@ def all_marked(automata: Sequence[Automaton], cur) -> bool:
 
 
 def product(automata: Sequence[Automaton], alphabet: Alphabet):
-    """Reachable synchronous product over tuples of component states.
+    """Reachable synchronous product, its states numbered 0, 1, ... in breadth-first order.
 
     Shared events synchronize and private ones interleave; ``alphabet`` fixes
     the event order and so the breadth-first order of the product states.
-    Every component needs an initial state.  Returns ``(order, parent,
-    transitions)``: the product states and parent pointers as
-    :func:`~desctl.automata.explore` returns them, and the product
-    transition map ``(state, event) -> state``.
+    Every component needs an initial state.  Returns ``(nodes, parent,
+    succ)``: the tuple of component states of each node, the parent
+    pointers of :func:`~desctl.automata.explore` (``(i, event)`` per node,
+    None for node 0), and the out-edges ``[(event, j), ...]`` of each node
+    in alphabet order.
     """
     step = successors(automata, alphabet)
-    transitions: dict[tuple[tuple[str, ...], str], tuple[str, ...]] = {}
-    # One tuple per product state, shared by every edge into it.
-    canonical: dict[tuple[str, ...], tuple[str, ...]] = {}
+    nodes, succ = [tuple(a.initial for a in automata)], []
+    ids = {nodes[0]: 0}
 
-    def record(cur):
+    def number(i):
+        # explore discovers nodes in the order they are numbered here.
         edges = []
-        for e, tgt in step(cur):
-            tgt = canonical.setdefault(tgt, tgt)
-            transitions[(cur, e)] = tgt
-            edges.append((e, tgt))
+        for e, tgt in step(nodes[i]):
+            if (j := ids.get(tgt)) is None:
+                ids[tgt] = j = len(nodes)
+                nodes.append(tgt)
+            edges.append((e, j))
+        succ.append(edges)
         return edges
 
-    order, parent, _ = explore(tuple(a.initial for a in automata), record)
-    return order, parent, transitions
+    _, parent, _ = explore(0, number)
+    return nodes, parent, succ
+
+
+def edge_list(succ) -> Iterator:
+    """``((i, event), j)`` for every out-edge of :func:`product`'s ``succ``, node by node."""
+    return (((i, e), j) for i, edges in enumerate(succ) for e, j in edges)
 
 
 def free_delimiter(automata: Sequence[Automaton]) -> str:
@@ -145,11 +173,11 @@ def parallel(automata: Sequence[Automaton], delimiter: str = "|") -> Automaton:
                 raise ComposeError(
                     f"state name {q!r} of {a.name!r} contains the delimiter {delimiter!r}"
                 )
-    order, parent, transitions = product(automata, alphabet)
+    nodes, parent, succ = product(automata, alphabet)
     del parent  # only witnesses need it; freed before the states are named
-    return from_nodes(name, alphabet, order, transitions.items(), order[0],
-                      (q for q in order if all_marked(automata, q)),
-                      lambda _i, q: delimiter.join(q))
+    return from_nodes(name, alphabet, range(len(nodes)), edge_list(succ), 0,
+                      (i for i, q in enumerate(nodes) if all_marked(automata, q)),
+                      lambda i, _: delimiter.join(nodes[i]))
 
 
 def project(trace: Sequence[str], alphabet: Alphabet) -> tuple[str, ...]:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .automata import (Automaton, InputError, backward_reachable, empty_automaton,
                        explore, from_nodes, path_to, predecessors)
-from .compose import all_marked, free_delimiter, parallel, product, successors
+from .compose import all_marked, edge_list, free_delimiter, parallel, product, successors
 
 
 class AlphabetError(InputError):
@@ -132,13 +132,13 @@ def check_nonconflicting(plant: Automaton,
         _require_subalphabet(plant, s)
     if any(a.initial is None for a in components):
         return ConflictReport(False, (), 0)
-    order, parent, transitions = product(components, plant.alphabet)
-    coreach = backward_reachable(
-        predecessors(transitions.items()), (q for q in order if all_marked(components, q)))
-    for checked, q in enumerate(order, start=1):
-        if q not in coreach:
-            return ConflictReport(False, path_to(parent, q), checked)
-    return ConflictReport(True, None, len(order))
+    nodes, parent, succ = product(components, plant.alphabet)
+    marked = (i for i, q in enumerate(nodes) if all_marked(components, q))
+    coreach = backward_reachable(predecessors(edge_list(succ)), marked)
+    for i in range(len(nodes)):  # breadth-first order, so i + 1 nodes are checked
+        if i not in coreach:
+            return ConflictReport(False, path_to(parent, i), i + 1)
+    return ConflictReport(True, None, len(nodes))
 
 
 def supcon(plant: Automaton, spec: Automaton) -> Automaton:
@@ -157,14 +157,14 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     if plant.initial is None or spec.initial is None:
         return empty_automaton(name, plant.alphabet)
 
-    states, _, trans = product([plant, spec], plant.alphabet)
+    nodes, _, succ = product([plant, spec], plant.alphabet)
     uncontrollable = set(plant.alphabet.uncontrollable)
-    marked = {q for q in states if all_marked([plant, spec], q)}
-    preds = predecessors(trans.items())
-    upreds = predecessors(kt for kt in trans.items() if kt[0][1] in uncontrollable)
-    good = set(states)
+    marked = {i for i, q in enumerate(nodes) if all_marked([plant, spec], q)}
+    preds = predecessors(edge_list(succ))
+    upreds = predecessors(kt for kt in edge_list(succ) if kt[0][1] in uncontrollable)
+    good = set(range(len(nodes)))
     first = _first_disabled(plant, spec)
-    removed = {q for q in states if first(*q) is not None}
+    removed = {i for i, q in enumerate(nodes) if first(*q) is not None}
     while True:
         # The attractor stops at states deleted in earlier rounds: their
         # uncontrollable predecessors were deleted with them.
@@ -178,19 +178,13 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
         if not removed:
             break
     del preds, upreds
-    start = states[0]
-    if start not in good:
+    if 0 not in good:
         return empty_automaton(name, plant.alphabet)
-    events = plant.alphabet.events
-
-    def step(q):
-        return [(e, t) for e in events if (t := trans.get((q, e))) is not None and t in good]
-
-    reach = set(explore(start, step)[0])
+    reach = set(explore(0, lambda i: [(e, j) for e, j in succ[i] if j in good])[0])
     delimiter = "|"
-    if len({delimiter.join(q) for q in reach}) < len(reach):
+    if len({delimiter.join(nodes[i]) for i in reach}) < len(reach):
         delimiter = free_delimiter([plant, spec])
-    return from_nodes(name, plant.alphabet, (q for q in states if q in reach),
-                      ((k, t) for k, t in trans.items() if k[0] in reach and t in reach),
-                      start, (q for q in states if q in reach and q in marked),
-                      lambda _i, q: delimiter.join(q))
+    kept = sorted(reach)
+    return from_nodes(name, plant.alphabet, kept,
+                      (((i, e), j) for i in kept for e, j in succ[i] if j in reach),
+                      0, sorted(reach & marked), lambda _k, i: delimiter.join(nodes[i]))

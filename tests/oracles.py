@@ -19,74 +19,123 @@ from desctl.automata import Alphabet, Automaton
 
 # -- expression denotations ------------------------------------------------
 
-@lru_cache(maxsize=None)
+# The denotation is enumerated per subexpression and string length: the set
+# of strings of length k that the subexpression denotes, or of which it
+# denotes an extension, by the usual recursive rules.  Each distinct
+# subexpression, the tails that concatenation splits off included, is
+# interned as one small integer, so a cache lookup hashes an int rather than
+# a frozen-dataclass subtree, and a lookup by an AST already seen costs one
+# probe by its identity.
+_NODES: list = []  # id -> (kind, payload): a Sym's event, a child's id, or a tuple of ids
+_IDS: dict = {}  # (kind, payload) -> id
+_SEEN: dict = {}  # id(ast) -> (ast, id); holding the AST keeps its id() from being reused
+
+
+def _node(key) -> int:
+    if key not in _IDS:
+        _IDS[key] = len(_NODES)
+        _NODES.append(key)
+    return _IDS[key]
+
+
+def _intern(ast) -> int:
+    hit = _SEEN.get(id(ast))
+    if hit is None:
+        if isinstance(ast, espec.Epsilon):
+            key = ("Epsilon", None)
+        elif isinstance(ast, espec.Sym):
+            key = ("Sym", ast.event)
+        elif isinstance(ast, (espec.Concat, espec.Union)):
+            key = (type(ast).__name__, tuple(map(_intern, ast.parts)))
+        elif isinstance(ast, (espec.Star, espec.PrefClose)):
+            key = (type(ast).__name__, _intern(ast.child))
+        else:
+            raise TypeError(ast)
+        _SEEN[id(ast)] = hit = (ast, _node(key))
+    return hit[1]
+
+
+def _split(parts: tuple) -> tuple[int, int]:
+    """The head of a concatenation and the concatenation of the rest."""
+    return parts[0], parts[1] if len(parts) == 2 else _node(("Concat", parts[1:]))
+
+
 def ast_nonempty(ast) -> bool:
     """Does the expression denote at least one string?"""
-    if isinstance(ast, (espec.Epsilon, espec.Sym, espec.Star)):
-        return True
-    if isinstance(ast, espec.Concat):
-        return all(ast_nonempty(p) for p in ast.parts)
-    if isinstance(ast, espec.Union):
-        return any(ast_nonempty(p) for p in ast.parts)
-    if isinstance(ast, espec.PrefClose):
-        return ast_nonempty(ast.child)
-    raise TypeError(ast)
+    return _nonempty(_intern(ast))
 
 
-@lru_cache(maxsize=None)
 def ast_matches(ast, word: tuple) -> bool:
-    """Is the word in the expression's denotation?  Direct interpretation."""
-    if isinstance(ast, espec.Epsilon):
-        return word == ()
-    if isinstance(ast, espec.Sym):
-        return word == (ast.event,)
-    if isinstance(ast, espec.Union):
-        return any(ast_matches(p, word) for p in ast.parts)
-    if isinstance(ast, espec.Concat):
-        head, rest = ast.parts[0], ast.parts[1:]
-        tail = rest[0] if len(rest) == 1 else espec.Concat(rest)
-        return any(ast_matches(head, word[:i]) and ast_matches(tail, word[i:])
-                   for i in range(len(word) + 1))
-    if isinstance(ast, espec.Star):
-        if word == ():
-            return True
-        return any(ast_matches(ast.child, word[:i])
-                   and ast_matches(ast, word[i:])
-                   for i in range(1, len(word) + 1))
-    if isinstance(ast, espec.PrefClose):
-        return ast_extendable(ast.child, word)
-    raise TypeError(ast)
+    """Is the word in the expression's denotation?"""
+    return word in _words(_intern(ast), len(word))
 
 
-@lru_cache(maxsize=None)
 def ast_extendable(ast, word: tuple) -> bool:
     """Is the word a prefix of some string in the expression's denotation?"""
-    if isinstance(ast, espec.Epsilon):
-        return word == ()
-    if isinstance(ast, espec.Sym):
-        return word in ((), (ast.event,))
-    if isinstance(ast, espec.Union):
-        return any(ast_extendable(p, word) for p in ast.parts)
-    if isinstance(ast, espec.Concat):
-        head, rest = ast.parts[0], ast.parts[1:]
-        tail = rest[0] if len(rest) == 1 else espec.Concat(rest)
-        # Either the word ends inside the head (every later part must be
+    return word in _prefixes(_intern(ast), len(word))
+
+
+@lru_cache(maxsize=None)
+def _nonempty(n: int) -> bool:
+    kind, x = _NODES[n]
+    if kind == "Concat":
+        return all(map(_nonempty, x))
+    if kind == "Union":
+        return any(map(_nonempty, x))
+    if kind == "PrefClose":
+        return _nonempty(x)
+    return True  # Epsilon, Sym, Star
+
+
+_NONE: frozenset = frozenset()
+_EMPTY_WORD = frozenset([()])
+
+
+@lru_cache(maxsize=None)
+def _words(n: int, k: int) -> frozenset:
+    """The strings of length ``k`` in the denotation of node ``n``."""
+    kind, x = _NODES[n]
+    if kind == "Epsilon":
+        return _EMPTY_WORD if k == 0 else _NONE
+    if kind == "Sym":
+        return frozenset([(x,)]) if k == 1 else _NONE
+    if kind == "Union":
+        return _NONE.union(*(_words(p, k) for p in x))
+    if kind == "Concat":
+        head, tail = _split(x)
+        return frozenset(u + v for i in range(k + 1)
+                         for u in _words(head, i) for v in _words(tail, k - i))
+    if kind == "Star":
+        if k == 0:
+            return _EMPTY_WORD
+        return frozenset(u + v for i in range(1, k + 1)
+                         for u in _words(x, i) for v in _words(n, k - i))
+    return _prefixes(x, k)  # PrefClose
+
+
+@lru_cache(maxsize=None)
+def _prefixes(n: int, k: int) -> frozenset:
+    """The strings of length ``k`` that are prefixes of some string in the denotation of ``n``."""
+    kind, x = _NODES[n]
+    if kind == "Epsilon":
+        return _EMPTY_WORD if k == 0 else _NONE
+    if kind == "Sym":
+        return _EMPTY_WORD if k == 0 else frozenset([(x,)]) if k == 1 else _NONE
+    if kind == "Union":
+        return _NONE.union(*(_prefixes(p, k) for p in x))
+    if kind == "Concat":
+        head, tail = _split(x)
+        # Either the string ends inside the head (every later part must be
         # nonempty), or the head matches a prefix and the rest extends.
-        if ast_extendable(head, word) and ast_nonempty(tail):
-            return True
-        return any(ast_matches(head, word[:i]) and ast_extendable(tail, word[i:])
-                   for i in range(len(word) + 1))
-    if isinstance(ast, espec.Star):
-        if word == ():
-            return True
-        if ast_extendable(ast.child, word) and word != ():
-            return True
-        return any(ast_matches(ast.child, word[:i])
-                   and ast_extendable(ast, word[i:])
-                   for i in range(1, len(word) + 1))
-    if isinstance(ast, espec.PrefClose):
-        return ast_extendable(ast.child, word)
-    raise TypeError(ast)
+        inside = _prefixes(head, k) if _nonempty(tail) else _NONE
+        return inside.union(u + v for i in range(k + 1)
+                            for u in _words(head, i) for v in _prefixes(tail, k - i))
+    if kind == "Star":
+        if k == 0:
+            return _EMPTY_WORD
+        return _prefixes(x, k).union(u + v for i in range(1, k + 1)
+                                     for u in _words(x, i) for v in _prefixes(n, k - i))
+    return _prefixes(x, k)  # PrefClose
 
 
 def all_strings(events, maxlen: int):

@@ -4,7 +4,7 @@ import pytest
 
 from desctl import fms
 from desctl.automata import Alphabet, Automaton
-from desctl.compose import ComposeError, merged_alphabet, parallel, project
+from desctl.compose import ComposeError, merged_alphabet, parallel, project, successors
 from desctl.espec import equivalent
 from oracles import all_strings, random_automaton, walk_generated, walk_marked
 
@@ -134,3 +134,21 @@ class TestProject:
         for _ in range(20):
             trace = tuple(rng.choice(alph.events) for _ in range(rng.randint(0, 10)))
             assert project(trace, alph) == trace
+
+
+def test_step_lists_events_in_alphabet_order_whatever_the_map_order():
+    events = ("b", "c", "a")
+    a = Automaton("a", Alphabet(tuple((e, True) for e in events)), ("q",),
+                  {("q", e): "q" for e in reversed(events)}, "q", ("q",))
+    assert [e for e, _ in successors([a], a.alphabet)(("q",))] == list(events)
+
+
+def test_successors_rejects_an_alphabet_out_of_owner_blocks():
+    # a owns x and z, b owns y: the order x, y, z splits a's block.
+    a = Automaton("a", Alphabet((("x", True), ("z", True))), ("a0",),
+                  {("a0", "x"): "a0", ("a0", "z"): "a0"}, "a0", ("a0",))
+    b = Automaton("b", Alphabet((("y", True),)), ("b0",), {("b0", "y"): "b0"}, "b0", ("b0",))
+    with pytest.raises(ValueError, match="one block"):
+        successors([a, b], Alphabet((("x", True), ("y", True), ("z", True))))
+    step = successors([a, b], merged_alphabet([a, b]))
+    assert [e for e, _ in step(("a0", "b0"))] == ["x", "z", "y"]

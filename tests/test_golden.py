@@ -3,10 +3,11 @@
 Each digest was recorded before a refactor of the code that produces it: the
 move of composition, analysis, spec and simulator modules onto one shared step
 rule and one automaton builder, the move of model files, DOT export and
-minimization onto one out-edge walk, and the move of model files and run
-reports from ``json.dump(indent=2)`` to streamed writers.  A refactor that
-changes state naming, state or transition order, a trace or the JSON layout
-changes the digest.
+minimization onto one out-edge walk, the move of model files and run
+reports from ``json.dump(indent=2)`` to streamed writers, and the move of
+the product searches onto per-component out-edges and integer-numbered
+product states.  A refactor that changes state naming, state or transition
+order, a trace or the JSON layout changes the digest.
 """
 
 import hashlib
@@ -19,9 +20,10 @@ import pytest
 from desctl import espec, fms, sim
 from desctl.automata import (Alphabet, Automaton, automaton_to_dict, load_automaton,
                              save_automaton)
-from desctl.control import closed_loop, supcon
+from desctl.compose import parallel
+from desctl.control import check_controllability, check_nonconflicting, closed_loop, supcon
 from desctl.dot import export_dot
-from oracles import random_ast
+from oracles import random_ast, random_automaton
 
 
 def _digest(text: str) -> str:
@@ -169,3 +171,43 @@ def test_saved_rows_follow_state_then_alphabet_order(tmp_path):
     save_automaton(a, tmp_path / "a.json")
     saved = json.loads((tmp_path / "a.json").read_text())["transitions"]
     assert [(r["from"], r["on"], r["to"]) for r in saved] == rows
+
+
+def _random_triple(rng):
+    """A plant over eight events in a shuffled order and two supervisors over
+    overlapping subsets, the three sharing one uncontrollable set."""
+    events = list("abcdefgh")
+    rng.shuffle(events)
+    unc = set(rng.sample(events, 3))
+    pick1, pick2 = set(rng.sample(events, 4)), set(rng.sample(events, 4))
+    pick2.add(min(pick1))  # the two supervisors share at least one event
+    sub1 = [e for e in events if e in pick1]
+    sub2 = [e for e in events if e in pick2]
+    return (random_automaton(rng, events, 6, "g", unc),
+            random_automaton(rng, sub1, 4, "s", unc),
+            random_automaton(rng, sub2, 4, "t", unc))
+
+
+def _exact(a) -> bytes:
+    # The model JSON and the transition map in insertion order.
+    return (json.dumps(automaton_to_dict(a), indent=2)
+            + repr(list(a.transitions.items()))).encode("utf-8")
+
+
+def test_product_searches_on_random_triples():
+    # 200 seeded triples; the parallel compositions put the supervisors first
+    # too, so each component owns a block of the merged alphabet.  Recorded
+    # before the product searches moved to per-component out-edges and
+    # integer-numbered product states.
+    rng = random.Random(12)
+    h = hashlib.sha256()
+    for _ in range(200):
+        g, s, t = _random_triple(rng)
+        for a in (parallel([g, s, t]), parallel([s, t, g]), parallel([t, g]),
+                  closed_loop(g, [s, t]), supcon(g, s), supcon(g, t)):
+            h.update(_exact(a))
+        for report in (check_controllability(g, s), check_controllability(g, t),
+                       check_nonconflicting(g, [s, t]), check_nonconflicting(g, [s])):
+            h.update(repr(report).encode("utf-8"))
+    assert h.hexdigest() == (
+        "c9de50df540a43719a54f4425e4ddf0a2041afc3d511b23b22839378a9c440c1")
