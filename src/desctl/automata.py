@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, replace
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import InputError
 
@@ -89,13 +89,6 @@ class Alphabet:
 
 
 @dataclass(frozen=True)
-class MembershipVerdict:
-    in_generated: bool
-    in_marked: bool
-    failure_index: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class Automaton:
     """Deterministic finite automaton with a partial transition map.
 
@@ -156,16 +149,11 @@ class Automaton:
                 diags.append(f"transition ({q!r}, {e!r}): event not in alphabet")
         return diags
 
-    def edges(self, q: str) -> list[tuple[str, str]]:
-        """Out-edges ``(event, target)`` of ``q`` in alphabet order; ``q`` is unchecked."""
-        return [(e, t) for e in self.alphabet.events
-                if (t := self.transitions.get((q, e))) is not None]
-
     def active(self, q: str) -> tuple[str, ...]:
         """Active-event set at ``q``, in alphabet order."""
         if q not in self._state_set:
             raise BadQueryError(f"unknown state {q!r}")
-        return tuple(e for e, _ in self.edges(q))
+        return tuple(e for e in self.alphabet.events if (q, e) in self.transitions)
 
     def step(self, q: str, e: str) -> Optional[str]:
         """Target of the transition on ``e`` from ``q``, or None if undefined."""
@@ -175,33 +163,16 @@ class Automaton:
             raise BadQueryError(f"unknown event {e!r}")
         return self.transitions.get((q, e))
 
-    def membership(self, word: Sequence[str]) -> MembershipVerdict:
-        """Is the word in the generated / marked language?"""
-        for e in word:
-            if e not in self.alphabet:
-                raise BadQueryError(f"unknown event {e!r}")
-        if self.initial is None:
-            # The empty automaton generates nothing, not even the empty word.
-            return MembershipVerdict(False, False, failure_index=0)
-        q = self.initial
-        for i, e in enumerate(word):
-            nxt = self.transitions.get((q, e))
-            if nxt is None:
-                return MembershipVerdict(False, False, failure_index=i)
-            q = nxt
-        return MembershipVerdict(True, q in self._marked_set)
-
     # -- reachability -----------------------------------------------------
 
-    def _forward_reachable(self) -> set[str]:
+    def _forward_reachable(self, edges: Callable) -> set[str]:
         if self.initial is None or self.initial not in self._state_set:
             return set()
-        order, _, _ = explore(self.initial, self.edges)
-        return set(order)
+        return set(explore(self.initial, edges)[0])
 
-    def _backward_reachable(self, targets: Iterable[str]) -> set[str]:
-        return backward_reachable(predecessors(self.transitions.items()),
-                                  (t for t in targets if t in self._state_set))
+    def _coreachable(self, edges: Callable) -> set[str]:
+        return backward_reachable(predecessors(self.states, edges),
+                                  (q for q in self.marked if q in self._state_set))
 
     def _restrict(self, keep: set[str]) -> "Automaton":
         if self.initial not in keep:
@@ -214,26 +185,26 @@ class Automaton:
 
     def accessible(self) -> "Automaton":
         """Keep only states reachable from the initial state."""
-        return self._restrict(self._forward_reachable())
+        return self._restrict(self._forward_reachable(edges_of(self)))
 
     def coaccessible(self) -> "Automaton":
         """Keep only states from which some marked state is reachable."""
-        return self._restrict(self._backward_reachable(self.marked))
+        return self._restrict(self._coreachable(edges_of(self)))
 
     def trim(self) -> "Automaton":
         """Accessible and coaccessible part; empty automaton if nothing survives."""
         # Every successor of a reachable state is reachable, so coreachability
         # within the accessible part is plain coreachability.
-        return self._restrict(self._forward_reachable()
-                              & self._backward_reachable(self.marked))
+        edges = edges_of(self)
+        return self._restrict(self._forward_reachable(edges) & self._coreachable(edges))
 
     def is_nonblocking(self) -> bool:
         """Every accessible state can reach a marked state."""
         if self.initial is None:
             return False
-        reach = self._forward_reachable()
-        coreach = self._backward_reachable(self.marked)
-        return bool(reach) and reach <= coreach
+        edges = edges_of(self)
+        reach = self._forward_reachable(edges)
+        return bool(reach) and reach <= self._coreachable(edges)
 
     def renamed(self, name: str) -> "Automaton":
         return replace(self, name=name)
@@ -244,19 +215,42 @@ def empty_automaton(name: str, alphabet: Alphabet) -> Automaton:
                      transitions={}, initial=None, marked=())
 
 
-def from_nodes(name: str, alphabet: Alphabet, nodes: Iterable, edges: Iterable,
-               initial, marked: Iterable, label: Callable) -> Automaton:
-    """The automaton over explored ``nodes``, with states named at the boundary.
+def edges_of(a: Automaton) -> Callable[[str], list[tuple[str, str]]]:
+    """``edges(q)``: the out-edges ``[(event, target), ...]`` of ``q`` in alphabet order.
 
-    ``label(i, node)`` names the i-th node; ``edges`` yields
-    ``((node, event), node)`` pairs and ``marked`` the marked nodes.  States,
-    transitions and marked states keep the order in which they are given.
+    The transition map is indexed once per call, as the map's own ``(q, event)``
+    keys grouped by source state; events outside the alphabet are skipped,
+    sources outside ``states`` are not.  Nothing is cached on ``a``.
     """
-    names = {q: label(i, q) for i, q in enumerate(nodes)}
+    rank = {e: k for k, e in enumerate(a.alphabet.events)}
+    rows: dict = {}
+    unsorted = set()
+    for key in a.transitions:
+        if (k := rank.get(key[1])) is not None:
+            row = rows.setdefault(key[0], [])
+            if row and rank[row[-1][1]] > k:
+                unsorted.add(key[0])
+            row.append(key)
+    for q in unsorted:  # only rows that the map lists out of alphabet order
+        rows[q].sort(key=lambda key: rank[key[1]])
+    transitions = a.transitions
+    # Looking a target up by the existing key builds no key tuple per edge.
+    return lambda q: [(key[1], transitions[key]) for key in rows.get(q, ())]
+
+
+def from_nodes(name: str, alphabet: Alphabet, names: dict, edges: Callable,
+               initial, marked: Iterable) -> Automaton:
+    """The automaton over explored nodes, with states named at the boundary.
+
+    ``names`` maps each node to its state name, in state order; ``edges(node)``
+    lists the node's ``(event, node)`` out-edges, and an edge into a node that
+    ``names`` lacks is dropped.  ``marked`` yields the marked nodes.
+    """
     # The constructor's dict() consumes the generator, so the named map is
     # built once rather than built and then copied.
     return Automaton(name=name, alphabet=alphabet, states=tuple(names.values()),
-                     transitions=(((names[q], e), names[t]) for (q, e), t in edges),
+                     transitions=(((s, e), names[t]) for q, s in names.items()
+                                  for e, t in edges(q) if t in names),
                      initial=names[initial],
                      marked=tuple(names[q] for q in marked))
 
@@ -302,11 +296,12 @@ def path_to(parent: dict, node) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-def predecessors(edges: Iterable) -> dict:
-    """``{target: [source, ...]}`` for ``((source, event), target)`` pairs."""
+def predecessors(nodes: Iterable, edges: Callable) -> dict:
+    """``{target: [source, ...]}`` over the out-edges ``edges(source)`` of ``nodes``."""
     preds: dict = {}
-    for (q, _e), t in edges:
-        preds.setdefault(t, []).append(q)
+    for q in nodes:
+        for _e, t in edges(q):
+            preds.setdefault(t, []).append(q)
     return preds
 
 
@@ -332,10 +327,12 @@ def is_sublanguage(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str
     if b.initial is None:
         return False, ()
 
+    out = edges_of(a)
+
     def step(node):
         qa, qb = node
         edges = []
-        for e, ta in a.edges(qa):
+        for e, ta in out(qa):
             tb = b.transitions.get((qb, e)) if e in b.alphabet else None
             if tb is None:
                 edges.append((e, None))
@@ -350,6 +347,7 @@ def is_sublanguage(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str
 # -- JSON model files -----------------------------------------------------
 
 def automaton_to_dict(a: Automaton) -> dict:
+    edges = edges_of(a)
     return {
         "name": a.name,
         "events": [{"id": e, "controllable": c} for e, c in a.alphabet.entries],
@@ -357,7 +355,7 @@ def automaton_to_dict(a: Automaton) -> dict:
         "initial": a.initial,
         "marked": list(a.marked),
         "transitions": [{"from": q, "on": e, "to": t}
-                        for q in a.states for e, t in a.edges(q)],
+                        for q in a.states for e, t in edges(q)],
     }
 
 
@@ -501,11 +499,7 @@ def save_automaton(a: Automaton, path) -> None:
     """Write ``json.dumps(automaton_to_dict(a), indent=2)`` and a newline, a row at a time."""
     q = JsonStrings()
     events = [{"id": e, "controllable": c} for e, c in a.alphabet.entries]
-    rank = {e: k for k, e in enumerate(a.alphabet.events)}
-    rows: dict = {}  # transition keys by state, put in alphabet order as they are written
-    for key in a.transitions:
-        if key[1] in rank:
-            rows.setdefault(key[0], []).append(key)
+    edges = edges_of(a)
     with open(path, "w", encoding="utf-8") as fh:
         # The name and the few events, without the closing "\n}".
         fh.write(json.dumps({"name": a.name, "events": events}, indent=2)[:-2])
@@ -514,8 +508,7 @@ def save_automaton(a: Automaton, path) -> None:
         fh.write(f',\n  "initial": {json.dumps(a.initial)},\n  "marked": ')
         fh.writelines(json_list(map(q.__getitem__, a.marked), 1))
         fh.write(',\n  "transitions": ')
-        fh.writelines(json_list((f'{{\n      "from": {q[s]},\n      "on": {q[k[1]]},\n'
-                                 f'      "to": {q[a.transitions[k]]}\n    }}'
-                                 for s in a.states
-                                 for k in sorted(rows.get(s, ()), key=lambda k: rank[k[1]])), 1))
+        fh.writelines(json_list((f'{{\n      "from": {q[s]},\n      "on": {q[e]},\n'
+                                 f'      "to": {q[t]}\n    }}'
+                                 for s in a.states for e, t in edges(s)), 1))
         fh.write("\n}\n")

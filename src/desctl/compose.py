@@ -1,8 +1,8 @@
-"""Synchronous (parallel) composition and natural projection."""
+"""Synchronous (parallel) composition."""
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .automata import Alphabet, Automaton, InputError, empty_automaton, explore, from_nodes
 
@@ -41,7 +41,7 @@ def successors(automata: Sequence[Automaton], alphabet: Alphabet):
     Returns ``step(cur)``, which lists ``(event, next)`` in ``alphabet``
     order for every event that each component declaring it can take.  A
     component that does not declare an event keeps its state.  Every event
-    of ``alphabet`` must be declared by some component.
+    of ``alphabet`` must be declared by some component (ValueError if not).
 
     Each event is owned by the first component that declares it.  A step walks
     each owner's out-edges at ``cur`` and probes only the other components that
@@ -51,6 +51,9 @@ def successors(automata: Sequence[Automaton], alphabet: Alphabet):
     """
     # The out-edge index lives for this call only; nothing is cached on the automata.
     declaring = _declaring(automata, alphabet.events)
+    for e, d in declaring.items():
+        if not d:
+            raise ValueError(f"no component declares the event {e!r}")
     owner = {e: d[0][0] for e, d in declaring.items()}
     if list(owner.values()) != sorted(owner.values()):
         raise ValueError("the alphabet does not list each owner's events in one block")
@@ -140,11 +143,6 @@ def product(automata: Sequence[Automaton], alphabet: Alphabet):
     return nodes, parent, succ
 
 
-def edge_list(succ) -> Iterator:
-    """``((i, event), j)`` for every out-edge of :func:`product`'s ``succ``, node by node."""
-    return (((i, e), j) for i, edges in enumerate(succ) for e, j in edges)
-
-
 def free_delimiter(automata: Sequence[Automaton]) -> str:
     """``|``, doubled until no component state name contains it."""
     delimiter = "|"
@@ -175,11 +173,6 @@ def parallel(automata: Sequence[Automaton], delimiter: str = "|") -> Automaton:
                 )
     nodes, parent, succ = product(automata, alphabet)
     del parent  # only witnesses need it; freed before the states are named
-    return from_nodes(name, alphabet, range(len(nodes)), edge_list(succ), 0,
-                      (i for i, q in enumerate(nodes) if all_marked(automata, q)),
-                      lambda i, _: delimiter.join(nodes[i]))
-
-
-def project(trace: Sequence[str], alphabet: Alphabet) -> tuple[str, ...]:
-    """Natural projection: keep only the events the alphabet declares."""
-    return tuple(e for e in trace if e in alphabet)
+    return from_nodes(name, alphabet, dict(enumerate(map(delimiter.join, nodes))),
+                      succ.__getitem__, 0,
+                      (i for i, q in enumerate(nodes) if all_marked(automata, q)))

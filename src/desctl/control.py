@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .automata import (Automaton, InputError, backward_reachable, empty_automaton,
                        explore, from_nodes, path_to, predecessors)
-from .compose import all_marked, edge_list, free_delimiter, parallel, product, successors
+from .compose import all_marked, free_delimiter, parallel, product, successors
 
 
 class AlphabetError(InputError):
@@ -134,7 +134,7 @@ def check_nonconflicting(plant: Automaton,
         return ConflictReport(False, (), 0)
     nodes, parent, succ = product(components, plant.alphabet)
     marked = (i for i, q in enumerate(nodes) if all_marked(components, q))
-    coreach = backward_reachable(predecessors(edge_list(succ)), marked)
+    coreach = backward_reachable(predecessors(range(len(nodes)), succ.__getitem__), marked)
     for i in range(len(nodes)):  # breadth-first order, so i + 1 nodes are checked
         if i not in coreach:
             return ConflictReport(False, path_to(parent, i), i + 1)
@@ -160,8 +160,9 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     nodes, _, succ = product([plant, spec], plant.alphabet)
     uncontrollable = set(plant.alphabet.uncontrollable)
     marked = {i for i, q in enumerate(nodes) if all_marked([plant, spec], q)}
-    preds = predecessors(edge_list(succ))
-    upreds = predecessors(kt for kt in edge_list(succ) if kt[0][1] in uncontrollable)
+    preds = predecessors(range(len(nodes)), succ.__getitem__)
+    upreds = predecessors(range(len(nodes)),
+                          lambda i: [(e, j) for e, j in succ[i] if e in uncontrollable])
     good = set(range(len(nodes)))
     first = _first_disabled(plant, spec)
     removed = {i for i, q in enumerate(nodes) if first(*q) is not None}
@@ -184,7 +185,5 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     delimiter = "|"
     if len({delimiter.join(nodes[i]) for i in reach}) < len(reach):
         delimiter = free_delimiter([plant, spec])
-    kept = sorted(reach)
-    return from_nodes(name, plant.alphabet, kept,
-                      (((i, e), j) for i in kept for e, j in succ[i] if j in reach),
-                      0, sorted(reach & marked), lambda _k, i: delimiter.join(nodes[i]))
+    return from_nodes(name, plant.alphabet, {i: delimiter.join(nodes[i]) for i in sorted(reach)},
+                      succ.__getitem__, 0, sorted(reach & marked))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .automata import Automaton
+from .automata import Automaton, edges_of
 
 
 def _quote(s: str) -> str:
@@ -19,8 +19,9 @@ def export_dot(a: Automaton) -> str:
         lines.append(f"  {_quote(q)} [shape={shape}];")
     if a.initial is not None:
         lines.append(f"  __init -> {_quote(a.initial)};")
+    edges = edges_of(a)
     for q in a.states:
-        for e, t in a.edges(q):
+        for e, t in edges(q):
             style = "" if a.alphabet.is_controllable(e) else ", style=dashed"
             lines.append(f"  {_quote(q)} -> {_quote(t)} [label={_quote(e)}{style}];")
     lines.append("}")

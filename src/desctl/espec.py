@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import (Alphabet, Automaton, InputError, empty_automaton, explore,
+from .automata import (Alphabet, Automaton, InputError, edges_of, empty_automaton, explore,
                        from_nodes)
 
 RESERVED = {"pc"}
@@ -270,20 +270,19 @@ def _subset_construct(ast: Expr, alphabet: Alphabet) -> Automaton:
     follow[0].update(first)
     last = frozenset(last + [0] if nullable else last)
     rank = {e: k for k, e in enumerate(alphabet.events)}
-    edges: dict[tuple[frozenset[int], str], frozenset[int]] = {}
+    succ: dict[frozenset[int], list[tuple[str, frozenset[int]]]] = {}
 
     def step(subset):
         targets: dict[str, set[int]] = defaultdict(set)
         for p in subset:
             for q in follow[p]:
                 targets[events[q]].add(q)
-        out = [(e, frozenset(targets[e])) for e in sorted(targets, key=rank.__getitem__)]
-        edges.update(((subset, e), t) for e, t in out)
-        return out
+        succ[subset] = [(e, frozenset(targets[e])) for e in sorted(targets, key=rank.__getitem__)]
+        return succ[subset]
 
     order, _, _ = explore(frozenset({0}), step)
-    return from_nodes("spec", alphabet, order, edges.items(), order[0],
-                      (s for s in order if not last.isdisjoint(s)), lambda i, _s: f"d{i}")
+    return from_nodes("spec", alphabet, {s: f"d{i}" for i, s in enumerate(order)},
+                      succ.__getitem__, order[0], (s for s in order if not last.isdisjoint(s)))
 
 
 def minimize(a: Automaton) -> Automaton:
@@ -297,7 +296,8 @@ def minimize(a: Automaton) -> Automaton:
     """
     if a.initial is None or not a.has_state(a.initial):
         return empty_automaton(a.name, a.alphabet)
-    reach = set(explore(a.initial, a.edges)[0])
+    edges = edges_of(a)
+    reach = set(explore(a.initial, edges)[0])
     states = [q for q in a.states if q in reach]
     n = len(states)
     ids = {q: i for i, q in enumerate(states)}
@@ -305,7 +305,7 @@ def minimize(a: Automaton) -> Automaton:
     # preds[t] packs each transition (p, e) -> t as event_id * n + p.
     preds: list[list[int]] = [[] for _ in range(n)]
     for p, q in enumerate(states):
-        for e, t in a.edges(q):
+        for e, t in edges(q):
             preds[ids[t]].append(event_ids[e] * n + p)
     block = [0 if a.is_marked(q) else 1 for q in states]
     parts = [{i for i, b in enumerate(block) if b == k} for k in (0, 1)]
@@ -341,10 +341,9 @@ def minimize(a: Automaton) -> Automaton:
         members.setdefault(b, []).append(q)
     # Each block is represented by its first member; names join all members.
     return from_nodes(
-        a.name, a.alphabet, members,
-        (((b, e), block[ids[t]]) for b, qs in members.items() for e, t in a.edges(qs[0])),
-        block[ids[a.initial]], (b for b, qs in members.items() if a.is_marked(qs[0])),
-        lambda _i, b: "+".join(members[b]))
+        a.name, a.alphabet, {b: "+".join(qs) for b, qs in members.items()},
+        lambda b: [(e, block[ids[t]]) for e, t in edges(members[b][0])],
+        block[ids[a.initial]], (b for b, qs in members.items() if a.is_marked(qs[0])))
 
 
 def compile(ast: Expr, alphabet: Alphabet, name: str = "spec") -> Automaton:
@@ -359,8 +358,8 @@ def compile(ast: Expr, alphabet: Alphabet, name: str = "spec") -> Automaton:
     # Every position reaches a last position, so every subset does too: the
     # subset automaton is already trim.
     dfa = minimize(_subset_construct(ast, alphabet))
-    return from_nodes(name, alphabet, dfa.states, dfa.transitions.items(), dfa.initial,
-                      dfa.marked, lambda i, _q: f"s{i + 1}")
+    return from_nodes(name, alphabet, {q: f"s{i}" for i, q in enumerate(dfa.states, 1)},
+                      edges_of(dfa), dfa.initial, dfa.marked)
 
 
 def compile_text(text: str, alphabet: Alphabet, name: str = "spec") -> Automaton:

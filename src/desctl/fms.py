@@ -19,8 +19,7 @@ checker treats neither as the corrected form of the other.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import replace
 
 from . import PARTITIONS
 from .automata import Alphabet, Automaton, save_automaton
@@ -186,29 +185,6 @@ def build_supervisor(category: int, partition: str = "sec28") -> Automaton:
     return Automaton(name=name, alphabet=make_alphabet(alph, partition),
                      states=states, transitions=trans,
                      initial=states[0], marked=states)
-
-
-@dataclass(frozen=True)
-class FmsCatalog:
-    """Every corpus automaton and spec expression, keyed by name."""
-
-    entries: dict[str, Union[Automaton, str]]
-    event_table: tuple[tuple[str, str, str], ...]
-
-    @property
-    def automata(self) -> dict[str, Automaton]:
-        return {k: v for k, v in self.entries.items() if isinstance(v, Automaton)}
-
-
-def catalog() -> FmsCatalog:
-    entries: dict[str, Union[Automaton, str]] = {k: build(k) for k in MACHINE_KINDS}
-    entries["G"] = build_total("sec28")
-    entries["G_sec2"] = build_total("sec2").renamed("G_sec2")
-    entries["S1"] = build_supervisor(1)
-    entries["S2"] = build_supervisor(2)
-    entries["KD1"] = spec_text(1)
-    entries["KD2"] = spec_text(2)
-    return FmsCatalog(entries=entries, event_table=EVENT_TABLE)
 
 
 def emit(outdir: str) -> list[str]:

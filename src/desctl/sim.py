@@ -99,9 +99,8 @@ def enabled(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
             cfg: Configuration) -> tuple[str, ...]:
     """Events enabled by the plant and every declaring supervisor."""
     components, cur = _checked(plant, sups, cfg)
-    # The plant's out-edges, each tried only on the supervisors that declare it.
-    return tuple(e for e, _ in plant.edges(cur[0]) if all(
-        (q, e) in s.transitions for s, q in zip(components[1:], cur[1:]) if e in s.alphabet))
+    go = fired(components, plant.alphabet.events)
+    return tuple(e for e in plant.alphabet.events if go(cur, e) is not None)
 
 
 def fire(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],

@@ -155,6 +155,11 @@ def walk_marked(a: Automaton, word) -> bool:
     return a.is_marked(q)
 
 
+def project(word, alphabet: Alphabet) -> tuple:
+    """Natural projection: the events of ``word`` that ``alphabet`` declares."""
+    return tuple(e for e in word if e in alphabet)
+
+
 def walk_generated(a: Automaton, word) -> bool:
     q = a.initial
     if q is None:

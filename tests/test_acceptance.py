@@ -16,7 +16,7 @@ from desctl.control import (SupervisorSet, check_controllability,
 from desctl.espec import compile_text, equivalent, minimize
 from oracles import (all_strings, ast_matches, enumerate_violations,
                      nonblocking_oracle, random_ast, random_automaton,
-                     walk_marked)
+                     walk_generated, walk_marked)
 
 
 def _criterion(num: int, title: str, budget: float, fn) -> None:
@@ -163,7 +163,7 @@ def test_criterion_8_simulation_soundness():
         loop = closed_loop(g, sups)
         word = tuple(e for e, _cfg in a.trace[:200])
         for i in range(len(word) + 1):
-            assert loop.membership(word[:i]).in_generated
+            assert walk_generated(loop, word[:i])
     _criterion(8, "simulation soundness", 5.0, check)
 
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from desctl import fms
 from desctl.automata import (Alphabet, Automaton, BadQueryError,
                              ModelFormatError, automaton_from_dict,
-                             automaton_to_dict, empty_automaton,
-                             is_sublanguage, load_automaton, save_automaton)
+                             automaton_to_dict, edges_of, empty_automaton,
+                             from_nodes, is_sublanguage, load_automaton,
+                             save_automaton)
 from oracles import all_strings, random_automaton, walk_generated, walk_marked
 
 
@@ -92,41 +93,34 @@ class TestActiveAndStep:
             fms.build("C1").step("qC1_1", "R.pick1")
 
 
-class TestMembership:
-    def test_empty_word(self):
-        v = fms.build("C1").membership(())
-        assert v.in_generated and v.in_marked and v.failure_index is None
+class TestEdgesOf:
+    def test_alphabet_order_whatever_the_map_order(self):
+        events = ("b", "c", "a")
+        a = Automaton("a", Alphabet(tuple((e, True) for e in events)), ("q", "r"),
+                      {("q", "a"): "r", ("r", "b"): "q", ("q", "c"): "q", ("q", "b"): "r"},
+                      "q", ("q",))
+        edges = edges_of(a)
+        assert edges("q") == [("b", "r"), ("c", "q"), ("a", "r")]
+        assert edges("r") == [("b", "q")]
 
-    def test_generated_not_marked(self):
-        v = fms.build("C1").membership(("C1.load",))
-        assert v.in_generated and not v.in_marked
+    def test_skips_events_outside_the_alphabet(self):
+        a = Automaton("a", Alphabet((("x", True),)), ("q",),
+                      {("q", "y"): "q", ("q", "x"): "q"}, "q", ("q",))
+        assert edges_of(a)("q") == [("x", "q")]
 
-    def test_not_generated(self):
-        v = fms.build("C1").membership(("C1.move",))
-        assert not v.in_generated and not v.in_marked and v.failure_index == 0
+    def test_lists_a_source_outside_the_states(self):
+        a = Automaton("a", Alphabet((("x", True),)), ("q",),
+                      {("ghost", "x"): "q"}, "q", ("q",))
+        assert edges_of(a)("ghost") == [("x", "q")]
+        assert edges_of(a)("q") == []
 
-    def test_unknown_event_raises(self):
-        with pytest.raises(BadQueryError):
-            fms.build("C1").membership(("R.pick1",))
-
-    def test_agrees_with_state_walk(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            a = random_automaton(rng, ["a", "b", "c"])
-            for _ in range(40):
-                word = tuple(rng.choice(["a", "b", "c"])
-                             for _ in range(rng.randint(0, 8)))
-                v = a.membership(word)
-                assert v.in_generated == walk_generated(a, word)
-                assert v.in_marked == walk_marked(a, word)
-
-    def test_generated_language_is_prefix_closed(self):
-        rng = random.Random(8)
-        for _ in range(20):
-            a = random_automaton(rng, ["a", "b"])
-            for word in all_strings(["a", "b"], 5):
-                if a.membership(word).in_generated and word:
-                    assert a.membership(word[:-1]).in_generated
+    def test_from_nodes_drops_edges_into_unnamed_nodes(self):
+        succ = [[("x", 1), ("y", 2)], [("x", 0)], [("x", 0)]]
+        a = from_nodes("a", Alphabet((("x", True), ("y", True))), {0: "n0", 1: "n1"},
+                       succ.__getitem__, 0, [1])
+        assert a.states == ("n0", "n1") and a.marked == ("n1",)
+        assert a.transitions == {("n0", "x"): "n1", ("n1", "x"): "n0"}
+        assert a.validate() == []
 
 
 class TestReachability:

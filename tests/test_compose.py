@@ -4,9 +4,9 @@ import pytest
 
 from desctl import fms
 from desctl.automata import Alphabet, Automaton
-from desctl.compose import ComposeError, merged_alphabet, parallel, project, successors
+from desctl.compose import ComposeError, merged_alphabet, parallel, successors
 from desctl.espec import equivalent
-from oracles import all_strings, random_automaton, walk_generated, walk_marked
+from oracles import all_strings, project, random_automaton, walk_generated, walk_marked
 
 
 def test_total_plant_size():
@@ -23,7 +23,7 @@ def test_two_conveyors_shuffle():
     for w in all_strings(product.alphabet.events, 4):
         expected = (walk_generated(c1, project(w, c1.alphabet))
                     and walk_generated(c2, project(w, c2.alphabet)))
-        assert product.membership(w).in_generated == expected
+        assert walk_generated(product, w) == expected
 
 
 def test_single_operand_identity():
@@ -57,18 +57,18 @@ def test_shared_events_synchronize():
     b = Automaton("b", Alphabet((("go", True),)), ("b0", "b1"),
                   {("b0", "go"): "b1"}, "b0", ("b1",))
     p = parallel([a, b])
-    assert p.membership(("go",)).in_generated
+    assert walk_generated(p, ("go",))
     # After the one shared "go", b cannot move again.
-    assert not p.membership(("go", "own", "go")).in_generated
+    assert not walk_generated(p, ("go", "own", "go"))
     assert p.initial == "a0|b0"
 
 
 def test_marked_requires_all_components_marked():
     a, b = fms.build("C1"), fms.build("C2")
     p = parallel([a, b])
-    assert p.membership(("C1.load",)).in_generated
-    assert not p.membership(("C1.load",)).in_marked
-    assert p.membership(("C1.load", "C1.move")).in_marked
+    assert walk_generated(p, ("C1.load",))
+    assert not walk_marked(p, ("C1.load",))
+    assert walk_marked(p, ("C1.load", "C1.move"))
 
 
 def test_marked_product_implies_marked_projections():
@@ -119,23 +119,6 @@ def test_composition_with_empty_component_is_empty():
     assert parallel([fms.build("C1"), e]).is_empty
 
 
-class TestProject:
-    def test_empty_trace(self):
-        assert project((), fms.build("C1").alphabet) == ()
-
-    def test_filters_foreign_events(self):
-        s1 = fms.build_supervisor(1)
-        trace = ("C1.load", "C1.move", "R.pick1")
-        assert project(trace, s1.alphabet) == ("C1.load", "R.pick1")
-
-    def test_identity_on_full_alphabet(self):
-        rng = random.Random(33)
-        alph = fms.build_total().alphabet
-        for _ in range(20):
-            trace = tuple(rng.choice(alph.events) for _ in range(rng.randint(0, 10)))
-            assert project(trace, alph) == trace
-
-
 def test_step_lists_events_in_alphabet_order_whatever_the_map_order():
     events = ("b", "c", "a")
     a = Automaton("a", Alphabet(tuple((e, True) for e in events)), ("q",),
@@ -152,3 +135,9 @@ def test_successors_rejects_an_alphabet_out_of_owner_blocks():
         successors([a, b], Alphabet((("x", True), ("y", True), ("z", True))))
     step = successors([a, b], merged_alphabet([a, b]))
     assert [e for e, _ in step(("a0", "b0"))] == ["x", "z", "y"]
+
+
+def test_successors_rejects_an_event_that_no_component_declares():
+    a = Automaton("a", Alphabet((("x", True),)), ("a0",), {("a0", "x"): "a0"}, "a0", ("a0",))
+    with pytest.raises(ValueError, match="no component declares the event 'y'"):
+        successors([a], Alphabet((("x", True), ("y", True))))

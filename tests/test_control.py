@@ -380,6 +380,18 @@ class TestSupcon:
         plant, spec = alternation(k)
         assert set(supcon(plant, spec).states) == supcon_oracle(plant, spec) == set()
 
+    def test_unmarked_cycle_goes_once_the_attractor_removes_its_exit(self):
+        # A and B keep each other as live successors, but their only way to a
+        # marked state runs through X, which the uncontrollable u removes.
+        alph = Alphabet((("c1", True), ("c2", True), ("c3", True), ("u", False)))
+        rows = {("s0", "c1"): "A", ("A", "c2"): "B", ("B", "c2"): "A", ("B", "c3"): "X"}
+        plant = Automaton("G", alph, ("s0", "A", "B", "X", "Y"),
+                          {**rows, ("X", "u"): "Y"}, "s0", ("s0", "Y"))
+        spec = Automaton("K", alph, ("s0", "A", "B", "X", "Y"), rows, "s0", ("s0", "Y"))
+        result = supcon(plant, spec)
+        assert result.states == ("s0|s0",)
+        assert set(result.states) == supcon_oracle(plant, spec)
+
     def test_colliding_joined_names_get_a_free_delimiter(self):
         # a|b with c and a with b|c would both be named a|b|c.
         alph = Alphabet((("x", True), ("y", True)))

@@ -10,7 +10,7 @@ from desctl.espec import (Concat, Epsilon, PrefClose, SpecSyntaxError, Star, Sym
                           Union, UnknownEventError, compile_text, equivalent,
                           minimize, parse)
 from oracles import (all_strings, ast_matches, nerode_classes, random_ast, random_automaton,
-                     walk_marked)
+                     walk_generated, walk_marked)
 
 ABC = Alphabet((("a", True), ("b", True), ("c", True)))
 FIVE = Alphabet(tuple((e, True) for e in "abcde"))
@@ -89,9 +89,9 @@ class TestCompile:
     def test_two_state_cycle(self):
         a = compile_text("(a b)*", ABC)
         assert len(a.states) == 2
-        assert a.membership(()).in_marked
-        assert a.membership(("a", "b")).in_marked
-        assert not a.membership(("a",)).in_marked
+        assert walk_marked(a, ())
+        assert walk_marked(a, ("a", "b"))
+        assert not walk_marked(a, ("a",))
 
     def test_unknown_event_named(self):
         with pytest.raises(UnknownEventError) as err:
@@ -266,9 +266,8 @@ class TestEquivalent:
             b = random_automaton(rng, ["a", "b"], name="y")
             eq, witness = equivalent(a, b)
             if not eq:
-                va, vb = a.membership(witness), b.membership(witness)
-                assert (va.in_generated != vb.in_generated
-                        or va.in_marked != vb.in_marked)
+                assert (walk_generated(a, witness) != walk_generated(b, witness)
+                        or walk_marked(a, witness) != walk_marked(b, witness))
 
     def test_is_an_equivalence_relation(self):
         rng = random.Random(26)

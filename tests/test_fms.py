@@ -133,17 +133,6 @@ class TestTotalPlant:
         assert g.is_nonblocking()
 
 
-class TestCatalog:
-    def test_keys(self):
-        cat = fms.catalog()
-        assert set(cat.entries) == set(fms.MACHINE_KINDS) | {
-            "G", "G_sec2", "S1", "S2", "KD1", "KD2"}
-        assert set(cat.automata) == set(fms.MACHINE_KINDS) | {
-            "G", "G_sec2", "S1", "S2"}
-        assert cat.entries["KD1"] == fms.spec_text(1)
-        assert cat.event_table == fms.EVENT_TABLE
-
-
 class TestEmit:
     def test_written_files_round_trip(self, tmp_path):
         outdir = tmp_path / "corpus"

@@ -7,6 +7,7 @@
 
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -41,6 +42,12 @@ def assert_saved_as_dumps(a: Automaton, path) -> None:
         json.dumps(automaton_to_dict(a), indent=2) + "\n")
 
 
+# Builders of every corpus automaton, keyed by name.
+CORPUS = {**{k: partial(fms.build, k) for k in fms.MACHINE_KINDS}, "G": fms.build_total,
+          "G_sec2": lambda: fms.build_total("sec2").renamed("G_sec2"),
+          "S1": partial(fms.build_supervisor, 1), "S2": partial(fms.build_supervisor, 2)}
+
+
 @pytest.fixture(scope="module")
 def plant():
     return fms.build_total()
@@ -52,9 +59,9 @@ def sups():
 
 
 class TestSaveAutomaton:
-    @pytest.mark.parametrize("key", sorted(fms.catalog().automata))
+    @pytest.mark.parametrize("key", sorted(CORPUS))
     def test_corpus_models(self, key, tmp_path):
-        assert_saved_as_dumps(fms.catalog().automata[key], tmp_path / "a.json")
+        assert_saved_as_dumps(CORPUS[key](), tmp_path / "a.json")
 
     def test_closed_loop(self, plant, sups, tmp_path):
         assert_saved_as_dumps(closed_loop(plant, sups), tmp_path / "a.json")
