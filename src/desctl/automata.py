@@ -165,14 +165,23 @@ class Automaton:
 
     # -- reachability -----------------------------------------------------
 
-    def _forward_reachable(self, edges: Callable) -> set[str]:
-        if self.initial is None or self.initial not in self._state_set:
-            return set()
-        return set(explore(self.initial, edges)[0])
+    def _reach(self) -> tuple[set[str], set[str]]:
+        """The states reachable from the initial state, and those that reach a marked one.
 
-    def _coreachable(self, edges: Callable) -> set[str]:
-        return backward_reachable(predecessors(self.states, edges),
-                                  (q for q in self.marked if q in self._state_set))
+        One pass over the transition map builds both adjacency lists; only events
+        in the alphabet count, and only states in ``states`` are predecessors.
+        """
+        succ: dict = {}
+        pred: dict = {}
+        flags, declared = self.alphabet._flags, self._state_set
+        for (q, e), t in self.transitions.items():
+            if e in flags:
+                succ.setdefault(q, []).append(t)
+                if q in declared:
+                    pred.setdefault(t, []).append(q)
+        start = [self.initial] if self.initial in declared else []
+        return (reachable(succ, start),
+                reachable(pred, (q for q in self.marked if q in declared)))
 
     def _restrict(self, keep: set[str]) -> "Automaton":
         if self.initial not in keep:
@@ -185,26 +194,25 @@ class Automaton:
 
     def accessible(self) -> "Automaton":
         """Keep only states reachable from the initial state."""
-        return self._restrict(self._forward_reachable(edges_of(self)))
+        return self._restrict(self._reach()[0])
 
     def coaccessible(self) -> "Automaton":
         """Keep only states from which some marked state is reachable."""
-        return self._restrict(self._coreachable(edges_of(self)))
+        return self._restrict(self._reach()[1])
 
     def trim(self) -> "Automaton":
         """Accessible and coaccessible part; empty automaton if nothing survives."""
         # Every successor of a reachable state is reachable, so coreachability
         # within the accessible part is plain coreachability.
-        edges = edges_of(self)
-        return self._restrict(self._forward_reachable(edges) & self._coreachable(edges))
+        reach, coreach = self._reach()
+        return self._restrict(reach & coreach)
 
     def is_nonblocking(self) -> bool:
         """Every accessible state can reach a marked state."""
         if self.initial is None:
             return False
-        edges = edges_of(self)
-        reach = self._forward_reachable(edges)
-        return bool(reach) and reach <= self._coreachable(edges)
+        reach, coreach = self._reach()
+        return bool(reach) and reach <= coreach
 
     def renamed(self, name: str) -> "Automaton":
         return replace(self, name=name)
@@ -305,12 +313,12 @@ def predecessors(nodes: Iterable, edges: Callable) -> dict:
     return preds
 
 
-def backward_reachable(preds: dict, targets: Iterable) -> set:
-    """Nodes that reach some target along a :func:`predecessors` map."""
-    seen = set(targets)
+def reachable(adjacency: dict, starts: Iterable) -> set:
+    """Nodes reachable from ``starts`` along ``adjacency = {node: [node, ...]}``."""
+    seen = set(starts)
     todo = list(seen)
     while todo:
-        for p in preds.get(todo.pop(), ()):
+        for p in adjacency.get(todo.pop(), ()):
             if p not in seen:
                 seen.add(p)
                 todo.append(p)
@@ -328,12 +336,13 @@ def is_sublanguage(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str
         return False, ()
 
     out = edges_of(a)
+    flags = b.alphabet._flags
 
     def step(node):
         qa, qb = node
         edges = []
         for e, ta in out(qa):
-            tb = b.transitions.get((qb, e)) if e in b.alphabet else None
+            tb = b.transitions.get((qb, e)) if e in flags else None
             if tb is None:
                 edges.append((e, None))
                 break

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .automata import (Automaton, InputError, backward_reachable, empty_automaton,
-                       explore, from_nodes, path_to, predecessors)
+from .automata import (Automaton, InputError, empty_automaton, explore, from_nodes, path_to,
+                       predecessors, reachable)
 from .compose import all_marked, free_delimiter, parallel, product, successors
 
 
@@ -134,7 +134,7 @@ def check_nonconflicting(plant: Automaton,
         return ConflictReport(False, (), 0)
     nodes, parent, succ = product(components, plant.alphabet)
     marked = (i for i, q in enumerate(nodes) if all_marked(components, q))
-    coreach = backward_reachable(predecessors(range(len(nodes)), succ.__getitem__), marked)
+    coreach = reachable(predecessors(range(len(nodes)), succ.__getitem__), marked)
     for i in range(len(nodes)):  # breadth-first order, so i + 1 nodes are checked
         if i not in coreach:
             return ConflictReport(False, path_to(parent, i), i + 1)
@@ -169,13 +169,13 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     while True:
         # The attractor stops at states deleted in earlier rounds: their
         # uncontrollable predecessors were deleted with them.
-        removed = backward_reachable(upreds, removed) & good
+        removed = reachable(upreds, removed) & good
         good -= removed
         for q in removed:  # a deleted state leaves the graph
             preds.pop(q, None)
             upreds.pop(q, None)
         # Blocking: no marked state is reachable within good.
-        removed = good - backward_reachable(preds, marked & good)
+        removed = good - reachable(preds, marked & good)
         if not removed:
             break
     del preds, upreds

@@ -18,7 +18,7 @@ and its marked language is the expression's denotation.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -370,7 +370,8 @@ def equivalent(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str, ..
     """Do a and b have equal generated AND marked languages?
 
     On inequality, returns a shortest distinguishing string (in one of the
-    four languages but not its counterpart).
+    four languages but not its counterpart), ties broken by a's alphabet
+    order, then b's.  Pair states walk a's out-edges and check b by out-degree.
     """
     if a.initial is None and b.initial is None:
         return True, None
@@ -378,21 +379,31 @@ def equivalent(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str, ..
         return False, ()
     events = list(a.alphabet.events)
     events += [e for e in b.alphabet.events if e not in a.alphabet]
+    out = edges_of(a)
+    flags = b.alphabet._flags
+    # b's out-degree on its own alphabet: a pair state whose a-edges all
+    # match in b, as many as b has, has no event defined on one side only.
+    degree = Counter(q for q, e in b.transitions if e in flags)
 
     def step(node):
         qa, qb = node
         if a.is_marked(qa) != b.is_marked(qb):
             return None
         edges = []
-        for e in events:
-            ta = a.transitions.get((qa, e)) if e in a.alphabet else None
-            tb = b.transitions.get((qb, e)) if e in b.alphabet else None
-            if (ta is None) != (tb is None):
-                edges.append((e, None))
+        for e, ta in out(qa):
+            tb = b.transitions.get((qb, e)) if e in flags else None
+            if tb is None:
                 break
-            if ta is not None:
-                edges.append((e, (ta, tb)))
-        return edges
+            edges.append((e, (ta, tb)))
+        else:
+            if len(edges) == degree[qb]:
+                return edges
+        # Some event is defined on one side only; the search stops at the
+        # first in ``events`` order, so this scan runs once per call.
+        for e in events:
+            in_a = e in a.alphabet and (qa, e) in a.transitions
+            if in_a != (e in flags and (qb, e) in b.transitions):
+                return [(e, None)]
 
     _, _, witness = explore((a.initial, b.initial), step)
     return witness is None, witness

@@ -14,7 +14,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 from desctl import espec
-from desctl.automata import Alphabet, Automaton
+from desctl.automata import Alphabet, Automaton, explore
 
 
 # -- expression denotations ------------------------------------------------
@@ -169,6 +169,41 @@ def walk_generated(a: Automaton, word) -> bool:
         if q is None:
             return False
     return True
+
+
+# -- equivalence by alphabet scan ------------------------------------------
+
+def equivalent_scan(a: Automaton, b: Automaton):
+    """``espec.equivalent`` as it scanned the whole alphabet at every pair state.
+
+    The same breadth-first search over pair states, so the same shortest
+    witness and tie-break, but each pair state probes every event of both
+    alphabets rather than walking out-edges.
+    """
+    if a.initial is None and b.initial is None:
+        return True, None
+    if a.initial is None or b.initial is None:
+        return False, ()
+    events = list(a.alphabet.events)
+    events += [e for e in b.alphabet.events if e not in a.alphabet]
+
+    def step(node):
+        qa, qb = node
+        if a.is_marked(qa) != b.is_marked(qb):
+            return None
+        edges = []
+        for e in events:
+            ta = a.transitions.get((qa, e)) if e in a.alphabet else None
+            tb = b.transitions.get((qb, e)) if e in b.alphabet else None
+            if (ta is None) != (tb is None):
+                edges.append((e, None))
+                break
+            if ta is not None:
+                edges.append((e, (ta, tb)))
+        return edges
+
+    _, _, witness = explore((a.initial, b.initial), step)
+    return witness is None, witness
 
 
 # -- minimality by enumeration --------------------------------------------

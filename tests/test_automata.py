@@ -154,6 +154,39 @@ class TestReachability:
             ba = a.coaccessible().accessible()
             assert set(ab.states) == set(ba.states)
 
+    # Automata that validate() flags, with the results of the alphabet-scan
+    # searches written out: forward reach passes through a state outside
+    # ``states`` and coreach does not, and a transition on an event outside
+    # the alphabet moves neither search (though trim keeps it between kept states).
+    @pytest.mark.parametrize("states, transitions, initial, trimmed, acc, coacc, nonblocking", [
+        pytest.param(("s0", "s1"), {("s0", "a"): "s1", ("ghost", "b"): "s0"}, "s0",
+                     (("s0", "s1"), {("s0", "a"): "s1"}, "s0", ("s1",)),
+                     ("s0", "s1"), ("s0", "s1"), True, id="undeclared-source-unreached"),
+        pytest.param(("s0", "s1"), {("s0", "a"): "ghost", ("ghost", "b"): "s1",
+                                    ("s1", "a"): "s0"}, "s0",
+                     ((), {}, None, ()), ("s0", "s1"), (), False,
+                     id="undeclared-source-reached"),
+        pytest.param(("s0", "s1"), {("s0", "a"): "s1", ("s1", "b"): "ghost"}, "s0",
+                     (("s0", "s1"), {("s0", "a"): "s1"}, "s0", ("s1",)),
+                     ("s0", "s1"), ("s0", "s1"), False, id="undeclared-target"),
+        pytest.param(("s0", "s1", "s2"), {("s0", "a"): "s1", ("s1", "x"): "s0",
+                                          ("s0", "x"): "s2", ("s2", "b"): "s1"}, "s0",
+                     (("s0", "s1"), {("s0", "a"): "s1", ("s1", "x"): "s0"}, "s0", ("s1",)),
+                     ("s0", "s1"), ("s0", "s1", "s2"), True, id="event-outside-alphabet"),
+        pytest.param(("s0", "s1"), {("ghost", "a"): "s0", ("s0", "a"): "s1"}, "ghost",
+                     ((), {}, None, ()), (), (), False, id="initial-outside-states"),
+    ])
+    def test_invalid_in_memory_automata(self, states, transitions, initial, trimmed,
+                                        acc, coacc, nonblocking):
+        a = Automaton("m", Alphabet((("a", True), ("b", True))), states, transitions,
+                      initial, ("s1",))
+        assert a.validate()
+        t = a.trim()
+        assert (t.states, t.transitions, t.initial, t.marked) == trimmed
+        assert a.accessible().states == acc
+        assert a.coaccessible().states == coacc
+        assert a.is_nonblocking() == nonblocking
+
     def test_trim_nonblocking_when_nonempty(self):
         rng = random.Random(11)
         for _ in range(50):

@@ -221,21 +221,35 @@ def test_trim_of_a_trim_automaton_copies_it_once(plant, sups):
     assert peak < 20 * 2 ** 20
 
 
-def test_product_search_cost_does_not_grow_with_the_alphabet():
-    # A ring of 5,000 states over 2,000 events, one enabled per state, and a
-    # supervisor that declares one event and always enables it: a step rule
-    # that probes every alphabet event does 2,000 probes a product state.
-    events = tuple(f"e{i}" for i in range(2000))
-    n = 5000
+def wide_ring(n: int = 5000, width: int = 2000) -> Automaton:
+    """A ring of ``n`` states over ``width`` events, one enabled per state."""
+    events = tuple(f"e{i}" for i in range(width))
     states = tuple(f"r{k}" for k in range(n))
-    ring = Automaton("ring", Alphabet(tuple((e, True) for e in events)), states,
-                     {(states[k], events[k % len(events)]): states[(k + 1) % n]
-                      for k in range(n)}, "r0", ("r0",))
+    return Automaton("ring", Alphabet(tuple((e, True) for e in events)), states,
+                     {(states[k], events[k % width]): states[(k + 1) % n] for k in range(n)},
+                     "r0", ("r0",))
+
+
+def test_product_search_cost_does_not_grow_with_the_alphabet():
+    # With a supervisor that declares one event and always enables it, a
+    # step rule that probes every alphabet event does 2,000 probes a product state.
+    ring = wide_ring()
+    n = len(ring.states)
     sup = Automaton("one", Alphabet((("e0", True),)), ("s",), {("s", "e0"): "s"}, "s", ("s",))
     start = time.process_time()
     assert len(parallel([ring, sup]).states) == n
     assert check_controllability(ring, sup).states_checked == n
     assert check_nonconflicting(ring, [sup]).states_checked == n
+    assert time.process_time() - start < 1.0
+
+
+def test_verification_cost_does_not_grow_with_the_alphabet():
+    # An equivalence search that probes every event of both alphabets does
+    # 2,000 probes a pair state.
+    ring = wide_ring()
+    start = time.process_time()
+    assert equivalent(ring, ring) == (True, None)
+    assert ring.trim().states == ring.states
     assert time.process_time() - start < 1.0
 
 

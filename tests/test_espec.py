@@ -9,8 +9,8 @@ from desctl.automata import Alphabet, Automaton
 from desctl.espec import (Concat, Epsilon, PrefClose, SpecSyntaxError, Star, Sym,
                           Union, UnknownEventError, compile_text, equivalent,
                           minimize, parse)
-from oracles import (all_strings, ast_matches, nerode_classes, random_ast, random_automaton,
-                     walk_generated, walk_marked)
+from oracles import (all_strings, ast_matches, equivalent_scan, nerode_classes, random_ast,
+                     random_automaton, walk_generated, walk_marked)
 
 ABC = Alphabet((("a", True), ("b", True), ("c", True)))
 FIVE = Alphabet(tuple((e, True) for e in "abcde"))
@@ -29,6 +29,48 @@ def _with_epsilon(ast, rng):
         return type(x)(splice(x.child))
 
     return splice(ast)
+
+
+def _unchecked_pair(rng):
+    """Two automata over alphabets that differ in members and in order.
+
+    Either may have transitions on events outside its alphabet and an
+    undeclared state ``ghost`` reached, left and marked.  Half the time b
+    is a renamed copy of a over a reordered alphabet, perhaps changed in
+    one place, so that long searches and equal languages occur too.
+    """
+    pool = list("abcde")
+
+    def unchecked(x, name):
+        transitions, marked = dict(x.transitions), x.marked
+        if rng.random() < 0.4:
+            outside = [e for e in pool + ["x"] if e not in x.alphabet]
+            transitions[(rng.choice(x.states), rng.choice(outside))] = rng.choice(x.states)
+        if rng.random() < 0.4:
+            transitions[(rng.choice(x.states), rng.choice(x.alphabet.events))] = f"{name}ghost"
+            for e in rng.sample(pool + ["x"], 2):
+                transitions[(f"{name}ghost", e)] = rng.choice(x.states)
+            marked += (f"{name}ghost",) * (rng.random() < 0.5)
+        return replace(x, transitions=transitions, marked=marked)
+
+    a = unchecked(random_automaton(rng, rng.sample(pool, rng.randint(1, 5)), name="p"), "p")
+    if rng.random() < 0.5:
+        return a, unchecked(random_automaton(rng, rng.sample(pool, rng.randint(1, 5)),
+                                             name="q"), "q")
+    events = rng.sample(pool, len(pool))
+    b = Automaton("q", Alphabet(tuple((e, True) for e in events
+                                      if e in a.alphabet or rng.random() < 0.5)),
+                  tuple("q" + s for s in a.states),
+                  {("q" + s, e): "q" + t for (s, e), t in a.transitions.items()},
+                  "q" + a.initial, tuple("q" + s for s in a.marked))
+    change = rng.randrange(4)
+    if change == 1 and b.transitions:
+        del b.transitions[rng.choice(list(b.transitions))]
+    elif change == 2:
+        b.transitions[(rng.choice(b.states), rng.choice(b.alphabet.events))] = rng.choice(b.states)
+    elif change == 3:
+        b = replace(b, marked=b.marked[1:])
+    return a, b
 
 
 class TestParse:
@@ -268,6 +310,20 @@ class TestEquivalent:
             if not eq:
                 assert (walk_generated(a, witness) != walk_generated(b, witness)
                         or walk_marked(a, witness) != walk_marked(b, witness))
+
+    def test_matches_the_alphabet_scan(self):
+        # The parent's search probed every event at every pair state; walking
+        # a's out-edges must give the same verdict and the same witness,
+        # tie-break included, also on automata that validate() flags.
+        rng = random.Random(27)
+        outcomes = set()
+        for _ in range(600):
+            a, b = _unchecked_pair(rng)
+            result = equivalent(a, b)
+            assert result == equivalent_scan(a, b)
+            assert equivalent(b, a) == equivalent_scan(b, a)
+            outcomes.add("equal" if result[0] else min(len(result[1]), 3))
+        assert outcomes == {"equal", 0, 1, 2, 3}
 
     def test_is_an_equivalence_relation(self):
         rng = random.Random(26)
