@@ -154,10 +154,10 @@ class TestReachability:
             ba = a.coaccessible().accessible()
             assert set(ab.states) == set(ba.states)
 
-    # Automata that validate() flags, with the results of the alphabet-scan
-    # searches written out: forward reach passes through a state outside
-    # ``states`` and coreach does not, and a transition on an event outside
-    # the alphabet moves neither search (though trim keeps it between kept states).
+    # Automata that validate() flags, with their results written out: forward
+    # reach passes through a state outside ``states`` and coreach does not,
+    # and a transition on an event outside the alphabet moves neither search
+    # (though trim keeps it between kept states).
     @pytest.mark.parametrize("states, transitions, initial, trimmed, acc, coacc, nonblocking", [
         pytest.param(("s0", "s1"), {("s0", "a"): "s1", ("ghost", "b"): "s0"}, "s0",
                      (("s0", "s1"), {("s0", "a"): "s1"}, "s0", ("s1",)),

@@ -312,8 +312,8 @@ class TestEquivalent:
                         or walk_marked(a, witness) != walk_marked(b, witness))
 
     def test_matches_the_alphabet_scan(self):
-        # The parent's search probed every event at every pair state; walking
-        # a's out-edges must give the same verdict and the same witness,
+        # equivalent_scan probes every event at every pair state; walking a's
+        # out-edges must give the same verdict and the same witness,
         # tie-break included, also on automata that validate() flags.
         rng = random.Random(27)
         outcomes = set()
