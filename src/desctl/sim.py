@@ -5,7 +5,9 @@ automata, with the step rule that composition uses; it never builds the
 composed product.  Random runs use Python's ``random.Random`` (Mersenne
 Twister) seeded with the policy seed and pick uniformly over the enabled set
 in plant-alphabet declaration order, so a given seed reproduces the same
-trace on every platform.
+trace on every platform.  A random run remembers the choices of a state it
+revisits, at most one entry per distinct state visited, and draws from the
+same list the step rule returns, so the trace does not depend on it.
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ def is_marked(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
 
 
 def _configuration(cur: tuple[str, ...]) -> Configuration:
-    return Configuration(cur[0], cur[1:])
+    # What the namedtuple's generated __new__ does, without the Python frame.
+    return tuple.__new__(Configuration, (cur[0], cur[1:]))
 
 
 def _count_completions(trace) -> dict[str, int]:
@@ -160,8 +163,16 @@ def run(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
     elif isinstance(policy, Random):
         rng = random.Random(policy.seed)
         requested = max_steps
+        # A state's choices are kept from its second visit on, so a run that
+        # never comes back (a long chain) stores no list per step.
+        seen: dict = {}
         for _ in range(max_steps):
-            choices = step(cur)
+            choices = seen.get(cur)
+            if choices is None:
+                seen[cur] = False
+                choices = step(cur)
+            elif choices is False:
+                choices = seen[cur] = step(cur)
             if not choices:
                 break
             e, cur = choices[rng.randrange(len(choices))]

@@ -9,12 +9,14 @@ enumeration against the definition.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from dataclasses import replace
 from functools import lru_cache
 
-from desctl import espec
+from desctl import espec, sim
 from desctl.automata import Alphabet, Automaton, explore
+from desctl.compose import all_marked, successors
 
 
 # -- expression denotations ------------------------------------------------
@@ -204,6 +206,40 @@ def equivalent_scan(a: Automaton, b: Automaton):
 
     _, _, witness = explore((a.initial, b.initial), step)
     return witness is None, witness
+
+
+# -- random runs that step every state afresh ------------------------------
+
+def random_run(plant: Automaton, sups, seed: int, max_steps: int) -> sim.RunReport:
+    """``sim.run(plant, sups, Random(seed), max_steps)`` with nothing remembered.
+
+    The same loop and draws, but ``step`` runs on every step, one
+    ``Configuration`` is built per step with its constructor, and the final
+    ``deadlocked`` rule steps the last state again.
+    """
+    sup_list = list(sups)
+    cfg = sim.initial_configuration(plant, sup_list)
+    components = [plant, *sup_list]
+    step = successors(components, plant.alphabet)
+    cur = (cfg.plant_state, *cfg.sup_states)
+    trace = []
+    rng = random.Random(seed)
+    for _ in range(max_steps):
+        choices = step(cur)
+        if not choices:
+            break
+        e, cur = choices[rng.randrange(len(choices))]
+        trace.append((e, sim.Configuration(cur[0], cur[1:])))
+    steps = len(trace)
+    return sim.RunReport(
+        trace=tuple(trace),
+        steps_taken=steps,
+        deadlocked=not step(cur) and steps < max_steps,
+        blocked_event=None,
+        completions={cat: sum(1 for e, _cfg in trace if e == ev)
+                     for cat, ev in sorted(sim.COMPLETION_EVENTS.items())},
+        final_marked=all_marked(components, cur),
+    )
 
 
 # -- minimality by enumeration --------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from desctl.sim import (Configuration, Interactive, NotEnabledError, Random,
                         ScriptError, Scripted, initial_configuration, enabled,
                         fire, is_marked, replay, report_from_dict,
                         report_to_dict, report_to_json, run)
-from oracles import replay_oracle, walk_generated
+from oracles import random_automaton, random_run, replay_oracle, walk_generated
 
 CAT1_PATH = ("C1.load", "R.pick1", "R.place3", "M.start", "R.pick3",
              "R.place4", "L.start1", "R.pick4", "R.place6", "A.on")
@@ -173,6 +174,24 @@ class TestRandom:
         b = run(plant, sups, Random(7), 500)
         assert report_to_json(a) == report_to_json(b)
 
+    def test_matches_the_run_that_steps_every_state(self, plant, sups):
+        rng = random.Random(15)
+        cases = [(plant, list(sups), seed, 2000) for seed in range(10)]
+        cases += [(plant, list(sups), 3, n) for n in (0, 1)]
+        cases += [(_deadlocking_plant(), [], seed, n) for seed in range(20) for n in (0, 1, 50)]
+        cases += [(*_random_modular_system(rng), rng.randrange(1000), rng.choice((0, 1, 5, 40, 200)))
+                  for _ in range(300)]
+        reports = []
+        for g, s, seed, n in cases:
+            reports.append(run(g, s, Random(seed), n))
+            assert report_to_json(reports[-1]) == report_to_json(random_run(g, s, seed, n))
+        # Runs that deadlock, and runs that reach a configuration a third time,
+        # where the remembered choices are drawn from.
+        thrice = [max(Counter(cfg for _e, cfg in r.trace).values(), default=0) >= 3
+                  for r in reports]
+        assert sum(r.deadlocked for r in reports) >= 100
+        assert sum(thrice) >= 60
+
     def test_seeds_actually_vary_the_trace(self, plant, sups):
         traces = {run(plant, sups, Random(s), 50).trace for s in range(10)}
         assert len(traces) > 1
@@ -248,6 +267,17 @@ def _deadlocking_plant() -> Automaton:
                      ("p0", "p1", "p2"),
                      {("p0", "a"): "p1", ("p1", "b"): "p2", ("p1", "c"): "p0"},
                      "p0", ("p0",))
+
+
+def _random_modular_system(rng) -> tuple[Automaton, list[Automaton]]:
+    """A plant over up to five events, and one or two supervisors on sub-alphabets."""
+    events = [f"e{i}" for i in range(rng.randint(1, 5))]
+    uncontrollable = [e for e in events if rng.random() < 0.3]
+    g = random_automaton(rng, events, 6, "g", uncontrollable)
+    sups = [random_automaton(rng, rng.sample(events, rng.randint(1, len(events))), 4,
+                             f"s{k}_", uncontrollable)
+            for k in range(rng.randint(1, 2))]
+    return g, sups
 
 
 def _policies(g: Automaton) -> list:
@@ -400,18 +430,33 @@ def test_well_typed_tampering_replays_false_without_raising(plant, sups):
         assert not replay(plant, sups, report_from_dict(_set(doc, path, value)))
 
 
+def _self_loops(events) -> Automaton:
+    """One state with a self-loop on each event."""
+    return Automaton("loops", Alphabet(tuple((e, True) for e in events)), ("q",),
+                     {("q", e): "q" for e in events}, "q", ("q",))
+
+
 def test_replay_cost_does_not_grow_with_the_alphabet():
     # One state with a self-loop on each of 2,000 events: a replay that
     # rebuilds the enabled set per step does 2,000 probes a step.
     events = tuple(f"e{i}" for i in range(2000))
-    g = Automaton("loops", Alphabet(tuple((e, True) for e in events)), ("q",),
-                  {("q", e): "q" for e in events}, "q", ("q",))
+    g = _self_loops(events)
     script = tuple(random.Random(9).choice(events) for _ in range(20_000))
     start = time.monotonic()
     report = run(g, [], Scripted(script), 20_000)
     assert report.steps_taken == 20_000
     assert replay(g, [], report)
     assert time.monotonic() - start < 2.0
+
+
+def test_random_run_cost_does_not_grow_with_the_alphabet():
+    # A random run that steps its one state afresh lists 2,000 choices a step.
+    g = _self_loops(tuple(f"e{i}" for i in range(2000)))
+    start = time.process_time()
+    report = run(g, [], Random(1), 20_000)
+    assert report.steps_taken == 20_000
+    assert replay(g, [], report)
+    assert time.process_time() - start < 1.0
 
 
 class TestInteractive:
