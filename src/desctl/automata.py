@@ -186,10 +186,12 @@ class Automaton:
     def _restrict(self, keep: set[str]) -> "Automaton":
         if self.initial not in keep:
             return empty_automaton(self.name, self.alphabet)
-        # The kept transitions are the existing items, keys and all.
+        # The kept transitions are the existing items, keys and all, on the
+        # events that the reachability searches follow.
+        flags = self.alphabet._flags
         return Automaton(self.name, self.alphabet, tuple(q for q in self.states if q in keep),
                          (kt for kt in self.transitions.items()
-                          if kt[0][0] in keep and kt[1] in keep),
+                          if kt[0][0] in keep and kt[1] in keep and kt[0][1] in flags),
                          self.initial, tuple(q for q in self.marked if q in keep))
 
     def accessible(self) -> "Automaton":

@@ -6,8 +6,11 @@ composed product.  Random runs use Python's ``random.Random`` (Mersenne
 Twister) seeded with the policy seed and pick uniformly over the enabled set
 in plant-alphabet declaration order, so a given seed reproduces the same
 trace on every platform.  A random run remembers the choices of a state it
-revisits, at most one entry per distinct state visited, and draws from the
-same list the step rule returns, so the trace does not depend on it.
+revisits, at most one entry per distinct state visited, as the step rule's
+list with each choice's trace row built once, so later visits share those
+rows and the draws and the trace do not depend on it.  ``report_to_json``
+renders each distinct row afresh until its second use and reuses the text
+from then on.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import json
 import random
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as quoted
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .automata import Automaton, BadQueryError, InputError, JsonStrings, check_shape, json_list
+from .automata import Automaton, BadQueryError, InputError, check_shape, json_list
 from .compose import all_marked, fired, successors
 from .control import SupervisorSet, _require_subalphabet
 
@@ -27,15 +31,9 @@ COMPLETION_EVENTS = {"1": "A.done1", "2": "A.done2"}
 _REPORT = {"trace": list, "steps_taken": int, "deadlocked": bool, "completions": {},
            "blocked_event": (str, type(None)), "final_marked": bool}
 _ROW = {"event": str, "configuration": {"plant_state": str, "sup_states": [str]}}
-
-
-class NotEnabledError(ValueError):
-    """An event was fired while the plant or a supervisor disables it."""
-
-    def __init__(self, event: str, blocker: str):
-        self.event = event
-        self.blocker = blocker
-        super().__init__(f"event {event!r} is not enabled (blocked by {blocker})")
+# A trace row as report_to_json lays it out, with its sup_states list left open.
+_ROW_TEMPLATE = ('{\n      "event": %%s,\n      "configuration": {\n        "plant_state": %%s,'
+                 '\n        "sup_states": %s\n      }\n    }')
 
 
 class ScriptError(InputError):
@@ -88,42 +86,6 @@ def initial_configuration(plant: Automaton,
     return Configuration(plant.initial, tuple(s.initial for s in sup_list))
 
 
-def _checked(plant: Automaton, sups, cfg: Configuration) -> tuple[list, tuple[str, ...]]:
-    """The components, and ``cfg`` as the tuple of their states; BadQueryError if invalid."""
-    components = [plant, *sups]
-    cur = (cfg.plant_state, *cfg.sup_states)
-    if len(cur) != len(components) or not all(map(Automaton.has_state, components, cur)):
-        raise BadQueryError(f"invalid configuration {cfg}")
-    return components, cur
-
-
-def enabled(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
-            cfg: Configuration) -> tuple[str, ...]:
-    """Events enabled by the plant and every declaring supervisor."""
-    components, cur = _checked(plant, sups, cfg)
-    go = fired(components, plant.alphabet.events)
-    return tuple(e for e in plant.alphabet.events if go(cur, e) is not None)
-
-
-def fire(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
-         cfg: Configuration, e: str) -> Configuration:
-    """Advance the plant and every declaring supervisor on ``e``."""
-    components, cur = _checked(plant, sups, cfg)
-    if e not in plant.alphabet:
-        raise BadQueryError(f"unknown event {e!r}")
-    nxt = fired(components, (e,))(cur, e)
-    if nxt is None:
-        i = next(i for i, a in enumerate(components)
-                 if e in a.alphabet and (cur[i], e) not in a.transitions)
-        raise NotEnabledError(e, components[i].name if i else "plant")
-    return _configuration(nxt)
-
-
-def is_marked(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
-              cfg: Configuration) -> bool:
-    return all_marked([plant, *sups], (cfg.plant_state, *cfg.sup_states))
-
-
 def _configuration(cur: tuple[str, ...]) -> Configuration:
     # What the namedtuple's generated __new__ does, without the Python frame.
     return tuple.__new__(Configuration, (cur[0], cur[1:]))
@@ -163,20 +125,25 @@ def run(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
     elif isinstance(policy, Random):
         rng = random.Random(policy.seed)
         requested = max_steps
-        # A state's choices are kept from its second visit on, so a run that
-        # never comes back (a long chain) stores no list per step.
+        # A state's choices are kept from its second visit on, as (next state,
+        # trace row) pairs in step's order, so a revisit appends a row built
+        # before, and a run that never comes back (a long chain) stores no
+        # list per step.  A state without choices ends the run on its first visit.
         seen: dict = {}
         for _ in range(max_steps):
-            choices = seen.get(cur)
-            if choices is None:
+            rows = seen.get(cur)
+            if rows is None:
                 seen[cur] = False
                 choices = step(cur)
-            elif choices is False:
-                choices = seen[cur] = step(cur)
-            if not choices:
-                break
-            e, cur = choices[rng.randrange(len(choices))]
-            trace.append((e, _configuration(cur)))
+                if not choices:
+                    break
+                e, cur = choices[rng.randrange(len(choices))]
+                trace.append((e, _configuration(cur)))
+                continue
+            if rows is False:
+                rows = seen[cur] = [(nxt, (e, _configuration(nxt))) for e, nxt in step(cur)]
+            cur, row = rows[rng.randrange(len(rows))]
+            trace.append(row)
     elif isinstance(policy, Interactive):
         requested = max_steps
         history = [cur]
@@ -276,16 +243,31 @@ def report_to_dict(report: RunReport) -> dict:
 
 def report_to_json(report: RunReport) -> str:
     """The text of ``json.dumps(report_to_dict(report), indent=2)`` and a newline."""
-    q = JsonStrings()
-
-    def row(e: str, c: Configuration) -> str:
-        sups = "".join(json_list(map(q.__getitem__, c.sup_states), 4))
-        return (f'{{\n      "event": {q[e]},\n      "configuration": {{\n        "plant_state": '
-                f'{q[c.plant_state]},\n        "sup_states": {sups}\n      }}\n    }}')
-
+    templates: dict[int, str] = {}
+    # Rows are keyed by value.  A row's first occurrence records False and its
+    # second keeps its text, as the random run keeps choices, so a report
+    # without repeated rows keeps no text.
+    texts: dict = {}
+    rows = []
+    for r in report.trace:
+        text = texts.get(r)
+        if not text:
+            e, c = r
+            n = len(c.sup_states)
+            if (template := templates.get(n)) is None:
+                template = templates[n] = _ROW_TEMPLATE % "".join(json_list(["%s"] * n, 4))
+            rendered = template % (quoted(e), quoted(c.plant_state), *map(quoted, c.sup_states))
+            texts[r] = text is False and rendered
+            text = rendered
+        rows.append(text)
     # The trace is the first field, so the first "[]" is the emptied trace.
     head, tail = json.dumps(report_to_dict(replace(report, trace=())), indent=2).split("[]", 1)
-    return "".join([head, *json_list((row(e, c) for e, c in report.trace), 1), tail, "\n"])
+    if not rows:
+        return f"{head}[]{tail}\n"
+    # The head and the tail ride on the first and last rows, so one join copies the text once.
+    rows[0] = head + "[\n    " + rows[0]
+    rows[-1] += "\n  ]" + tail + "\n"
+    return ",\n    ".join(rows)
 
 
 def report_from_dict(doc: dict) -> RunReport:

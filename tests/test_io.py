@@ -7,6 +7,7 @@
 
 import json
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -128,6 +129,53 @@ class TestReportToJson:
                         {("\x00", "x"): "\x00"}, "\x00", ())
         report = sim.run(plant, [sup], sim.Random(3), 10)
         assert report.deadlocked and report.steps_taken == 1
+        assert_rendered_as_dumps(report)
+
+    def test_revisiting_run_with_escaped_names(self):
+        # A ring over weird state names, " " and a quote among them, under a
+        # supervisor of weird names: the run comes back to configurations.
+        rng = random.Random(16)
+        names = list(dict.fromkeys([" ", '"', *(weird_name(rng) for _ in range(4))]))
+        ring = {(q, "a"): names[(i + 1) % len(names)] for i, q in enumerate(names)}
+        plant = Automaton('r"', Alphabet((("a", True), ("b", False))), tuple(names),
+                          {**ring, **{(q, "b"): names[0] for q in names[1::2]}}, names[0], ())
+        s0, s1 = weird_name(rng), '" \\'
+        sup = Automaton(" ", Alphabet((("a", True),)), (s0, s1),
+                        {(s0, "a"): s1, (s1, "a"): s0}, s0, (s1,))
+        for seed in range(5):
+            report = sim.run(plant, [sup], sim.Random(seed), 300)
+            assert max(Counter(report.trace).values()) >= 3
+            assert_rendered_as_dumps(report)
+
+    def test_loaded_reports_with_mixed_and_repeated_rows(self):
+        # Reports read back from JSON text, so equal rows are distinct
+        # objects; their rows hold 0, 1 or 3 supervisor states and repeat.
+        rng = random.Random(17)
+        mixed = thrice = 0
+        for _ in range(60):
+            rows = [{"event": weird_name(rng),
+                     "configuration": {"plant_state": weird_name(rng),
+                                       "sup_states": [weird_name(rng)
+                                                      for _ in range(rng.choice((0, 1, 3)))]}}
+                    for _ in range(rng.randint(1, 4))]
+            trace = [rng.choice(rows) for _ in range(rng.randint(0, 12))]
+            doc = {"trace": trace, "steps_taken": len(trace), "deadlocked": rng.random() < 0.5,
+                   "blocked_event": None, "completions": {"1": 0, "2": 0},
+                   "final_marked": False}
+            report = sim.report_from_dict(json.loads(json.dumps(doc)))
+            assert_rendered_as_dumps(report)
+            mixed += len({len(c.sup_states) for _e, c in report.trace}) >= 2
+            thrice += max(Counter(report.trace).values(), default=0) >= 3
+        assert mixed >= 10 and thrice >= 10
+
+    def test_chain_that_never_revisits(self):
+        states = tuple(f"c{i}" for i in range(301))
+        plant = Automaton("chain", Alphabet((("go", True),)), states,
+                          {(p, "go"): q for p, q in zip(states, states[1:])},
+                          states[0], states[-1:])
+        sup = Automaton("s", Alphabet((("go", True),)), ('"',), {('"', "go"): '"'}, '"', ())
+        report = sim.run(plant, [sup], sim.Random(1), 400)
+        assert report.deadlocked and len(set(report.trace)) == report.steps_taken == 300
         assert_rendered_as_dumps(report)
 
     def test_hand_built_report(self):

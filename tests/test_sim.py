@@ -9,9 +9,8 @@ from desctl import fms, sim
 from desctl.automata import Alphabet, Automaton, BadQueryError, ModelFormatError
 from desctl.compose import successors
 from desctl.control import SupervisorSet, closed_loop
-from desctl.sim import (Configuration, Interactive, NotEnabledError, Random,
-                        ScriptError, Scripted, initial_configuration, enabled,
-                        fire, is_marked, replay, report_from_dict,
+from desctl.sim import (Configuration, Interactive, Random, ScriptError, Scripted,
+                        initial_configuration, replay, report_from_dict,
                         report_to_dict, report_to_json, run)
 from oracles import random_automaton, random_run, replay_oracle, walk_generated
 
@@ -40,90 +39,6 @@ class TestConfiguration:
         e = empty_automaton("e", Alphabet((("a", True),)))
         with pytest.raises(BadQueryError):
             initial_configuration(e, [])
-
-    def test_invalid_configuration_rejected(self, plant, sups):
-        with pytest.raises(BadQueryError):
-            enabled(plant, sups, Configuration("nowhere", ("qS1_1", "qS2_1")))
-        with pytest.raises(BadQueryError):
-            enabled(plant, sups, Configuration(plant.initial, ("qS1_1",)))
-
-
-class TestEnabledAndFire:
-    def test_unsupervised_initial_enabled(self, plant):
-        cfg = initial_configuration(plant, [])
-        assert enabled(plant, [], cfg) == (
-            ("C1.load", "C2.load", "C3.load")
-            + tuple(f"R.pick{k}" for k in range(1, 8))
-            + ("L.start1", "L.start2", "M.start", "P.start", "A.on"))
-
-    def test_supervised_initial_enabled(self, plant, sups):
-        cfg = initial_configuration(plant, sups)
-        assert enabled(plant, sups, cfg) == (
-            "C1.load", "C2.load", "R.pick5", "R.pick6", "R.pick7")
-
-    def test_fire_advances_declaring_supervisors_only(self, plant, sups):
-        cfg = initial_configuration(plant, sups)
-        nxt = fire(plant, sups, cfg, "C1.load")
-        assert nxt.sup_states == ("qS1_2", "qS2_1")
-
-    def test_fire_blocked_by_supervisor_names_it(self, plant, sups):
-        cfg = initial_configuration(plant, sups)
-        with pytest.raises(NotEnabledError) as err:
-            fire(plant, sups, cfg, "R.pick1")
-        assert err.value.blocker == "S1"
-        assert err.value.event == "R.pick1"
-
-    def test_fire_blocked_by_plant(self, plant, sups):
-        cfg = initial_configuration(plant, sups)
-        with pytest.raises(NotEnabledError) as err:
-            fire(plant, sups, cfg, "C1.move")
-        assert err.value.blocker == "plant"
-
-    def test_fire_unknown_event(self, plant, sups):
-        cfg = initial_configuration(plant, sups)
-        with pytest.raises(BadQueryError):
-            fire(plant, sups, cfg, "zz")
-
-    def test_fire_agrees_with_the_step_rule(self, plant, sups):
-        # Every plant event at configurations that random runs reach: fire
-        # takes the step rule's successor, or names the first component in
-        # plant, S1, S2 order that declares the event and disables it.
-        components = [plant, *sups]
-        names = ["plant", *(s.name for s in sups)]
-        step = successors(components, plant.alphabet)
-        rng = random.Random(11)
-        configurations = {cfg for seed in range(20)
-                          for _e, cfg in run(plant, sups, Random(seed), 200).trace}
-        for cfg in rng.sample(sorted(configurations, key=repr), 150):
-            cur = (cfg.plant_state, *cfg.sup_states)
-            successor = dict(step(cur))
-            for e in plant.alphabet.events:
-                if e in successor:
-                    assert fire(plant, sups, cfg, e) == Configuration(
-                        successor[e][0], successor[e][1:])
-                    continue
-                blocker = next(n for n, a, q in zip(names, components, cur)
-                               if e in a.alphabet and (q, e) not in a.transitions)
-                with pytest.raises(NotEnabledError) as err:
-                    fire(plant, sups, cfg, e)
-                assert (err.value.event, err.value.blocker) == (e, blocker)
-
-    def test_enabled_agrees_with_the_step_rule(self, plant, sups):
-        # At configurations that random runs reach, with no, one or both
-        # supervisors: the step rule's events, in plant-alphabet order.
-        rng = random.Random(12)
-        for sup_list in ([], [sups.supervisors[1]], list(sups)):
-            step = successors([plant, *sup_list], plant.alphabet)
-            configurations = {cfg for seed in range(10)
-                              for _e, cfg in run(plant, sup_list, Random(seed), 100).trace}
-            for cfg in rng.sample(sorted(configurations, key=repr), 100):
-                cur = (cfg.plant_state, *cfg.sup_states)
-                assert enabled(plant, sup_list, cfg) == tuple(e for e, _ in step(cur))
-
-    def test_marked_only_when_every_component_agrees(self, plant, sups):
-        cfg = initial_configuration(plant, sups)
-        assert is_marked(plant, sups, cfg)
-        assert not is_marked(plant, sups, fire(plant, sups, cfg, "C1.load"))
 
 
 class TestScripted:
@@ -184,7 +99,9 @@ class TestRandom:
         reports = []
         for g, s, seed, n in cases:
             reports.append(run(g, s, Random(seed), n))
-            assert report_to_json(reports[-1]) == report_to_json(random_run(g, s, seed, n))
+            expected = random_run(g, s, seed, n)
+            assert reports[-1] == expected
+            assert report_to_json(reports[-1]) == report_to_json(expected)
         # Runs that deadlock, and runs that reach a configuration a third time,
         # where the remembered choices are drawn from.
         thrice = [max(Counter(cfg for _e, cfg in r.trace).values(), default=0) >= 3
@@ -247,7 +164,8 @@ class TestReplay:
     def test_forged_blocked_event_detected(self, plant, sups):
         report = run(plant, sups, Random(8), 20)
         final = report.trace[-1][1]
-        on = enabled(plant, sups, final)
+        on = [e for e, _ in successors([plant, *sups], plant.alphabet)(
+            (final.plant_state, *final.sup_states))]
 
         def blocked_on(e):
             return replay(plant, sups, sim.RunReport(
