@@ -297,8 +297,11 @@ def explore(start, step: Callable) -> tuple[list, dict, Optional[tuple[str, ...]
     return order, parent, None
 
 
-def path_to(parent: dict, node) -> tuple[str, ...]:
-    """The event string that :func:`explore` followed from its start to ``node``."""
+def path_to(parent, node) -> tuple[str, ...]:
+    """The event string from the start to ``node`` in :func:`explore` or ``compose.product``.
+
+    ``parent[node]`` is ``(previous node, event)``, None at the start; a dict or a list.
+    """
     path = []
     while parent[node] is not None:
         node, e = parent[node]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .automata import Alphabet, Automaton, InputError, empty_automaton, explore, from_nodes
+from .automata import Alphabet, Automaton, InputError, empty_automaton, from_nodes
 
 
 class ComposeError(InputError):
@@ -113,33 +113,36 @@ def all_marked(automata: Sequence[Automaton], cur) -> bool:
     return all(a.is_marked(x) for a, x in zip(automata, cur))
 
 
+def pairs(flat):
+    """The ``(event, target)`` pairs of a flat out-edge list ``[e0, t0, e1, t1, ...]``."""
+    it = iter(flat)
+    return zip(it, it)
+
+
 def product(automata: Sequence[Automaton], alphabet: Alphabet):
     """Reachable synchronous product, its states numbered 0, 1, ... in breadth-first order.
 
     Shared events synchronize and private ones interleave; ``alphabet`` fixes
     the event order and so the breadth-first order of the product states.
     Every component needs an initial state.  Returns ``(nodes, parent,
-    succ)``: the tuple of component states of each node, the parent
-    pointers of :func:`~desctl.automata.explore` (``(i, event)`` per node,
-    None for node 0), and the out-edges ``[(event, j), ...]`` of each node
-    in alphabet order.
+    succ)``: the tuple of component states of each node, the list of parent
+    pointers (``(i, event)`` per node, None for node 0) that
+    :func:`~desctl.automata.path_to` follows, and the out-edges of each node
+    as one flat list ``[event, j, event, j, ...]`` in alphabet order, read
+    in pairs by :func:`pairs`.
     """
     step = successors(automata, alphabet)
-    nodes, succ = [tuple(a.initial for a in automata)], []
+    nodes, parent, succ = [tuple(a.initial for a in automata)], [None], []
     ids = {nodes[0]: 0}
-
-    def number(i):
-        # explore discovers nodes in the order they are numbered here.
+    for i, node in enumerate(nodes):  # the queue; nodes past i are discovered, not expanded
         edges = []
-        for e, tgt in step(nodes[i]):
+        for e, tgt in step(node):
             if (j := ids.get(tgt)) is None:
                 ids[tgt] = j = len(nodes)
                 nodes.append(tgt)
-            edges.append((e, j))
+                parent.append((i, e))
+            edges += e, j
         succ.append(edges)
-        return edges
-
-    _, parent, _ = explore(0, number)
     return nodes, parent, succ
 
 
@@ -174,5 +177,5 @@ def parallel(automata: Sequence[Automaton], delimiter: str = "|") -> Automaton:
     nodes, parent, succ = product(automata, alphabet)
     del parent  # only witnesses need it; freed before the states are named
     return from_nodes(name, alphabet, dict(enumerate(map(delimiter.join, nodes))),
-                      succ.__getitem__, 0,
+                      lambda i: pairs(succ[i]), 0,
                       (i for i, q in enumerate(nodes) if all_marked(automata, q)))

@@ -13,27 +13,11 @@ from typing import Optional, Sequence
 
 from .automata import (Automaton, InputError, empty_automaton, explore, from_nodes, path_to,
                        predecessors, reachable)
-from .compose import all_marked, free_delimiter, parallel, product, successors
+from .compose import all_marked, free_delimiter, pairs, parallel, product, successors
 
 
 class AlphabetError(InputError):
     pass
-
-
-@dataclass(frozen=True)
-class SupervisorSet:
-    """Ordered collection of supervisors acting conjunctively."""
-
-    supervisors: tuple[Automaton, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "supervisors", tuple(self.supervisors))
-
-    def __iter__(self):
-        return iter(self.supervisors)
-
-    def __len__(self):
-        return len(self.supervisors)
 
 
 @dataclass(frozen=True)
@@ -59,7 +43,7 @@ def _require_subalphabet(plant: Automaton, sup: Automaton) -> None:
         )
 
 
-def closed_loop(plant: Automaton, sups: SupervisorSet | Sequence[Automaton]) -> Automaton:
+def closed_loop(plant: Automaton, sups: Sequence[Automaton]) -> Automaton:
     """Modular closed loop: plant composed with every supervisor.
 
     Events outside every supervisor alphabet are constrained by the plant
@@ -118,8 +102,7 @@ def check_controllability(plant: Automaton, sup: Automaton) -> ControllabilityRe
     return ControllabilityReport(False, (witness[:-1], witness[-1]), len(order))
 
 
-def check_nonconflicting(plant: Automaton,
-                         sups: SupervisorSet | Sequence[Automaton]) -> ConflictReport:
+def check_nonconflicting(plant: Automaton, sups: Sequence[Automaton]) -> ConflictReport:
     """Is the modular closed loop nonblocking?
 
     Explores the product of the plant and every supervisor on tuples of
@@ -134,7 +117,7 @@ def check_nonconflicting(plant: Automaton,
         return ConflictReport(False, (), 0)
     nodes, parent, succ = product(components, plant.alphabet)
     marked = (i for i, q in enumerate(nodes) if all_marked(components, q))
-    coreach = reachable(predecessors(range(len(nodes)), succ.__getitem__), marked)
+    coreach = reachable(predecessors(range(len(nodes)), lambda i: pairs(succ[i])), marked)
     for i in range(len(nodes)):  # breadth-first order, so i + 1 nodes are checked
         if i not in coreach:
             return ConflictReport(False, path_to(parent, i), i + 1)
@@ -160,9 +143,9 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     nodes, _, succ = product([plant, spec], plant.alphabet)
     uncontrollable = set(plant.alphabet.uncontrollable)
     marked = {i for i, q in enumerate(nodes) if all_marked([plant, spec], q)}
-    preds = predecessors(range(len(nodes)), succ.__getitem__)
+    preds = predecessors(range(len(nodes)), lambda i: pairs(succ[i]))
     upreds = predecessors(range(len(nodes)),
-                          lambda i: [(e, j) for e, j in succ[i] if e in uncontrollable])
+                          lambda i: [(e, j) for e, j in pairs(succ[i]) if e in uncontrollable])
     good = set(range(len(nodes)))
     first = _first_disabled(plant, spec)
     removed = {i for i, q in enumerate(nodes) if first(*q) is not None}
@@ -181,9 +164,9 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     del preds, upreds
     if 0 not in good:
         return empty_automaton(name, plant.alphabet)
-    reach = set(explore(0, lambda i: [(e, j) for e, j in succ[i] if j in good])[0])
+    reach = set(explore(0, lambda i: [(e, j) for e, j in pairs(succ[i]) if j in good])[0])
     delimiter = "|"
     if len({delimiter.join(nodes[i]) for i in reach}) < len(reach):
         delimiter = free_delimiter([plant, spec])
     return from_nodes(name, plant.alphabet, {i: delimiter.join(nodes[i]) for i in sorted(reach)},
-                      succ.__getitem__, 0, sorted(reach & marked))
+                      lambda i: pairs(succ[i]), 0, sorted(reach & marked))

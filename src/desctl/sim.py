@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .automata import Automaton, BadQueryError, InputError, check_shape, json_list
 from .compose import all_marked, fired, successors
-from .control import SupervisorSet, _require_subalphabet
+from .control import _require_subalphabet
 
 COMPLETION_EVENTS = {"1": "A.done1", "2": "A.done2"}
 # The JSON shape of report_to_dict's output (see automata.check_shape).
@@ -76,8 +76,7 @@ class RunReport:
     final_marked: bool
 
 
-def initial_configuration(plant: Automaton,
-                          sups: SupervisorSet | Sequence[Automaton]) -> Configuration:
+def initial_configuration(plant: Automaton, sups: Sequence[Automaton]) -> Configuration:
     sup_list = list(sups)
     for s in sup_list:
         _require_subalphabet(plant, s)
@@ -96,7 +95,7 @@ def _count_completions(trace) -> dict[str, int]:
             for cat, ev in sorted(COMPLETION_EVENTS.items())}
 
 
-def run(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
+def run(plant: Automaton, sups: Sequence[Automaton],
         policy: Policy, max_steps: int) -> RunReport:
     """Execute the closed loop under a policy for at most ``max_steps`` steps."""
     if max_steps < 0:
@@ -198,8 +197,7 @@ def run(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
     )
 
 
-def replay(plant: Automaton, sups: SupervisorSet | Sequence[Automaton],
-           report: RunReport) -> bool:
+def replay(plant: Automaton, sups: Sequence[Automaton], report: RunReport) -> bool:
     """Re-fire the trace and confirm every recorded step, count and verdict."""
     sup_list = list(sups)
     try:

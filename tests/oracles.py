@@ -289,6 +289,17 @@ def random_automaton(rng, events, max_states: int = 6, name: str = "rand",
                      transitions=transitions, initial=states[0], marked=marked)
 
 
+def random_modular_system(rng) -> tuple[Automaton, list[Automaton]]:
+    """A plant over up to five events, and one or two supervisors on sub-alphabets."""
+    events = [f"e{i}" for i in range(rng.randint(1, 5))]
+    uncontrollable = [e for e in events if rng.random() < 0.3]
+    g = random_automaton(rng, events, 6, "g", uncontrollable)
+    sups = [random_automaton(rng, rng.sample(events, rng.randint(1, len(events))), 4,
+                             f"s{k}_", uncontrollable)
+            for k in range(rng.randint(1, 2))]
+    return g, sups
+
+
 def random_ast(rng, events, depth: int = 3):
     if depth == 0 or rng.random() < 0.3:
         return espec.Sym(rng.choice(events))

@@ -11,8 +11,7 @@ import time
 from desctl import espec, fms, sim
 from desctl.automata import is_sublanguage, load_automaton
 from desctl.compose import parallel
-from desctl.control import (SupervisorSet, check_controllability,
-                            check_nonconflicting, closed_loop, supcon)
+from desctl.control import check_controllability, check_nonconflicting, closed_loop, supcon
 from desctl.espec import compile_text, equivalent, minimize
 from oracles import (all_strings, ast_matches, enumerate_violations,
                      nonblocking_oracle, random_ast, random_automaton,
@@ -109,7 +108,7 @@ def test_alternate_partition_counterexample_matches_enumeration_oracle():
 def test_criterion_6_conflict_analysis():
     def check():
         g = fms.build_total()
-        sups = SupervisorSet((fms.build_supervisor(1), fms.build_supervisor(2)))
+        sups = (fms.build_supervisor(1), fms.build_supervisor(2))
         report = check_nonconflicting(g, sups)
         verdict, witness = nonblocking_oracle(g, list(sups), 10 ** 6)
         assert report.nonconflicting == verdict
@@ -155,7 +154,7 @@ def test_criterion_7_synthesis_properties():
 def test_criterion_8_simulation_soundness():
     def check():
         g = fms.build_total()
-        sups = SupervisorSet((fms.build_supervisor(1), fms.build_supervisor(2)))
+        sups = (fms.build_supervisor(1), fms.build_supervisor(2))
         a = sim.run(g, sups, sim.Random(17), 10_000)
         b = sim.run(g, sups, sim.Random(17), 10_000)
         assert sim.report_to_json(a) == sim.report_to_json(b)

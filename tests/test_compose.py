@@ -3,10 +3,11 @@ import random
 import pytest
 
 from desctl import fms
-from desctl.automata import Alphabet, Automaton
-from desctl.compose import ComposeError, merged_alphabet, parallel, successors
+from desctl.automata import Alphabet, Automaton, path_to
+from desctl.compose import ComposeError, merged_alphabet, pairs, parallel, product, successors
 from desctl.espec import equivalent
-from oracles import all_strings, project, random_automaton, walk_generated, walk_marked
+from oracles import (all_strings, explore_closed_loop, project, random_automaton,
+                     random_modular_system, walk_generated, walk_marked)
 
 
 def test_total_plant_size():
@@ -141,3 +142,18 @@ def test_successors_rejects_an_event_that_no_component_declares():
     a = Automaton("a", Alphabet((("x", True),)), ("a0",), {("a0", "x"): "a0"}, "a0", ("a0",))
     with pytest.raises(ValueError, match="no component declares the event 'y'"):
         successors([a], Alphabet((("x", True), ("y", True))))
+
+
+def test_product_matches_the_closed_loop_oracle():
+    # The numbering, the flat out-edge lists and the parent list against a
+    # search over raw transition dicts, on the cell and seeded modular systems.
+    rng = random.Random(17)
+    cases = [(fms.build_total(), [fms.build_supervisor(1), fms.build_supervisor(2)])]
+    cases += [random_modular_system(rng) for _ in range(300)]
+    for plant, sups in cases:
+        nodes, parent, succ = product([plant, *sups], plant.alphabet)
+        _depth, edges, paths = explore_closed_loop(plant, sups, 10 ** 9)
+        assert nodes == list(paths)  # breadth-first discovery order
+        for i, node in enumerate(nodes):
+            assert [(e, nodes[j]) for e, j in pairs(succ[i])] == edges.get(node, [])
+            assert path_to(parent, i) == paths[node]

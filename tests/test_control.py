@@ -8,8 +8,8 @@ import pytest
 from desctl import fms
 from desctl.automata import Alphabet, Automaton, is_sublanguage
 from desctl.compose import parallel
-from desctl.control import (AlphabetError, SupervisorSet, check_controllability,
-                            check_nonconflicting, closed_loop, supcon)
+from desctl.control import (AlphabetError, check_controllability, check_nonconflicting,
+                            closed_loop, supcon)
 from desctl.espec import equivalent
 from oracles import (enumerate_violations, nonblocking_oracle,
                      random_automaton, supcon_oracle)
@@ -27,7 +27,7 @@ def plant_alt():
 
 @pytest.fixture(scope="module")
 def sups():
-    return SupervisorSet((fms.build_supervisor(1), fms.build_supervisor(2)))
+    return (fms.build_supervisor(1), fms.build_supervisor(2))
 
 
 def toy_plant():
@@ -39,7 +39,7 @@ def toy_plant():
 
 class TestClosedLoop:
     def test_no_supervisors_is_the_plant(self, plant):
-        assert closed_loop(plant, SupervisorSet(())) is plant
+        assert closed_loop(plant, ()) is plant
 
     def test_self_supervision_identity(self):
         c1 = fms.build("C1")
@@ -127,7 +127,7 @@ class TestControllability:
 
 class TestNonconflicting:
     def test_empty_supervisor_set_on_trim_plant(self, plant):
-        assert check_nonconflicting(plant, SupervisorSet(())).nonconflicting
+        assert check_nonconflicting(plant, ()).nonconflicting
 
     def test_single_supervisor_agrees_with_monolithic_trim(self, plant):
         s1 = fms.build_supervisor(1)
@@ -220,6 +220,21 @@ def test_trim_of_a_trim_automaton_copies_it_once(plant, sups):
         tracemalloc.stop()
     assert trimmed.states == loop.states
     assert peak < 20 * 2 ** 20
+
+
+def test_product_searches_store_each_state_s_out_edges_flat(plant, sups):
+    # The product of G, S1 and S2 has 11,520 states and 96,448 edges.  With
+    # one flat [event, number, ...] list per state the check peaks at 7.8 MB
+    # and the closed loop at 17.8 MB; an (event, number) tuple per edge adds
+    # about 4.7 MB to each, which these bounds do not allow.
+    for search, bound in ((check_nonconflicting, 10), (closed_loop, 20)):
+        tracemalloc.start()
+        try:
+            search(plant, sups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2 ** 20, search.__name__
 
 
 def wide_ring(n: int = 5000, width: int = 2000) -> Automaton:

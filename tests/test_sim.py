@@ -8,11 +8,11 @@ import pytest
 from desctl import fms, sim
 from desctl.automata import Alphabet, Automaton, BadQueryError, ModelFormatError
 from desctl.compose import successors
-from desctl.control import SupervisorSet, closed_loop
+from desctl.control import closed_loop
 from desctl.sim import (Configuration, Interactive, Random, ScriptError, Scripted,
                         initial_configuration, replay, report_from_dict,
                         report_to_dict, report_to_json, run)
-from oracles import random_automaton, random_run, replay_oracle, walk_generated
+from oracles import random_modular_system, random_run, replay_oracle, walk_generated
 
 CAT1_PATH = ("C1.load", "R.pick1", "R.place3", "M.start", "R.pick3",
              "R.place4", "L.start1", "R.pick4", "R.place6", "A.on")
@@ -25,7 +25,7 @@ def plant():
 
 @pytest.fixture(scope="module")
 def sups():
-    return SupervisorSet((fms.build_supervisor(1), fms.build_supervisor(2)))
+    return (fms.build_supervisor(1), fms.build_supervisor(2))
 
 
 class TestConfiguration:
@@ -94,7 +94,7 @@ class TestRandom:
         cases = [(plant, list(sups), seed, 2000) for seed in range(10)]
         cases += [(plant, list(sups), 3, n) for n in (0, 1)]
         cases += [(_deadlocking_plant(), [], seed, n) for seed in range(20) for n in (0, 1, 50)]
-        cases += [(*_random_modular_system(rng), rng.randrange(1000), rng.choice((0, 1, 5, 40, 200)))
+        cases += [(*random_modular_system(rng), rng.randrange(1000), rng.choice((0, 1, 5, 40, 200)))
                   for _ in range(300)]
         reports = []
         for g, s, seed, n in cases:
@@ -185,17 +185,6 @@ def _deadlocking_plant() -> Automaton:
                      ("p0", "p1", "p2"),
                      {("p0", "a"): "p1", ("p1", "b"): "p2", ("p1", "c"): "p0"},
                      "p0", ("p0",))
-
-
-def _random_modular_system(rng) -> tuple[Automaton, list[Automaton]]:
-    """A plant over up to five events, and one or two supervisors on sub-alphabets."""
-    events = [f"e{i}" for i in range(rng.randint(1, 5))]
-    uncontrollable = [e for e in events if rng.random() < 0.3]
-    g = random_automaton(rng, events, 6, "g", uncontrollable)
-    sups = [random_automaton(rng, rng.sample(events, rng.randint(1, len(events))), 4,
-                             f"s{k}_", uncontrollable)
-            for k in range(rng.randint(1, 2))]
-    return g, sups
 
 
 def _policies(g: Automaton) -> list:
