@@ -155,21 +155,14 @@ class Automaton:
             raise BadQueryError(f"unknown state {q!r}")
         return tuple(e for e in self.alphabet.events if (q, e) in self.transitions)
 
-    def step(self, q: str, e: str) -> Optional[str]:
-        """Target of the transition on ``e`` from ``q``, or None if undefined."""
-        if q not in self._state_set:
-            raise BadQueryError(f"unknown state {q!r}")
-        if e not in self.alphabet:
-            raise BadQueryError(f"unknown event {e!r}")
-        return self.transitions.get((q, e))
-
     # -- reachability -----------------------------------------------------
 
-    def _reach(self) -> tuple[set[str], set[str]]:
-        """The states reachable from the initial state, and those that reach a marked one.
+    def trim(self) -> "Automaton":
+        """Accessible and coaccessible part; empty automaton if nothing survives.
 
-        One pass over the transition map builds both adjacency lists; only events
-        in the alphabet count, and only states in ``states`` are predecessors.
+        One pass over the transition map builds successor and predecessor lists;
+        only events in the alphabet count, and only states in ``states`` are
+        predecessors.
         """
         succ: dict = {}
         pred: dict = {}
@@ -179,42 +172,18 @@ class Automaton:
                 succ.setdefault(q, []).append(t)
                 if q in declared:
                     pred.setdefault(t, []).append(q)
-        start = [self.initial] if self.initial in declared else []
-        return (reachable(succ, start),
-                reachable(pred, (q for q in self.marked if q in declared)))
-
-    def _restrict(self, keep: set[str]) -> "Automaton":
+        # Every successor of a reachable state is reachable, so coreachability
+        # within the accessible part is plain coreachability.
+        keep = (reachable(succ, [self.initial] if self.initial in declared else [])
+                & reachable(pred, (q for q in self.marked if q in declared)))
         if self.initial not in keep:
             return empty_automaton(self.name, self.alphabet)
         # The kept transitions are the existing items, keys and all, on the
         # events that the reachability searches follow.
-        flags = self.alphabet._flags
         return Automaton(self.name, self.alphabet, tuple(q for q in self.states if q in keep),
                          (kt for kt in self.transitions.items()
                           if kt[0][0] in keep and kt[1] in keep and kt[0][1] in flags),
                          self.initial, tuple(q for q in self.marked if q in keep))
-
-    def accessible(self) -> "Automaton":
-        """Keep only states reachable from the initial state."""
-        return self._restrict(self._reach()[0])
-
-    def coaccessible(self) -> "Automaton":
-        """Keep only states from which some marked state is reachable."""
-        return self._restrict(self._reach()[1])
-
-    def trim(self) -> "Automaton":
-        """Accessible and coaccessible part; empty automaton if nothing survives."""
-        # Every successor of a reachable state is reachable, so coreachability
-        # within the accessible part is plain coreachability.
-        reach, coreach = self._reach()
-        return self._restrict(reach & coreach)
-
-    def is_nonblocking(self) -> bool:
-        """Every accessible state can reach a marked state."""
-        if self.initial is None:
-            return False
-        reach, coreach = self._reach()
-        return bool(reach) and reach <= coreach
 
     def renamed(self, name: str) -> "Automaton":
         return replace(self, name=name)

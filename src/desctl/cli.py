@@ -276,8 +276,8 @@ def cmd_simulate(plant, sups, script_path, random_mode, interactive_mode,
         status.append(f"blocked on {report.blocked_event}")
     if report.deadlocked:
         status.append("deadlocked")
-    click.echo(f"{report.steps_taken} steps, completions "
-               f"cat1={report.completions['1']} cat2={report.completions['2']}"
+    counts = " ".join(f"cat{c}={n}" for c, n in report.completions.items())
+    click.echo(f"{report.steps_taken} steps, completions {counts}"
                + (f" ({', '.join(status)})" if status else ""))
     raise SystemExit(1 if (report.deadlocked or report.blocked_event is not None) else 0)
 

@@ -9,8 +9,9 @@ from desctl import fms
 from desctl.automata import (Alphabet, Automaton, BadQueryError,
                              ModelFormatError, automaton_from_dict,
                              automaton_to_dict, edges_of, empty_automaton,
-                             from_nodes, is_sublanguage, load_automaton,
-                             save_automaton)
+                             explore, from_nodes, is_sublanguage,
+                             load_automaton, save_automaton)
+from desctl.control import check_nonconflicting
 from oracles import all_strings, random_automaton, walk_generated, walk_marked
 
 
@@ -82,15 +83,8 @@ class TestActiveAndStep:
             fms.build("C1").active("nope")
 
     def test_step_defined(self):
-        assert fms.build("C1").step("qC1_1", "C1.load") == "qC1_2"
-        assert fms.build("A").step("qA_3", "A.done1") == "qA_1"
-
-    def test_step_undefined(self):
-        assert fms.build("C1").step("qC1_1", "C1.move") is None
-
-    def test_step_unknown_event(self):
-        with pytest.raises(BadQueryError):
-            fms.build("C1").step("qC1_1", "R.pick1")
+        assert fms.build("C1").transitions.get(("qC1_1", "C1.load")) == "qC1_2"
+        assert fms.build("A").transitions.get(("qA_3", "A.done1")) == "qA_1"
 
 
 class TestEdgesOf:
@@ -130,7 +124,8 @@ class TestReachability:
         assert a.trim().states == a.states
 
     def test_coaccessible_drops_dead_state(self):
-        assert chain().coaccessible().states == ("q1",)
+        t = chain().trim()
+        assert (t.states, t.transitions) == (("q1",), {})
 
     def test_trim_to_empty_is_flagged(self):
         a = chain(marked=())
@@ -143,68 +138,56 @@ class TestReachability:
             a = random_automaton(rng, ["a", "b", "c"])
             t = a.trim()
             assert t.trim().states == t.states
-            assert t.accessible().states == t.states
-            assert t.coaccessible().states == t.states
-
-    def test_accessible_coaccessible_commute(self):
-        rng = random.Random(10)
-        for _ in range(50):
-            a = random_automaton(rng, ["a", "b"])
-            ab = a.accessible().coaccessible()
-            ba = a.coaccessible().accessible()
-            assert set(ab.states) == set(ba.states)
+            if not t.is_empty:
+                assert set(explore(t.initial, edges_of(t))[0]) == set(t.states)
+                assert check_nonconflicting(t, ()).nonconflicting
 
     # Automata that validate() flags, with their results written out: forward
     # reach passes through a state outside ``states`` and coreach does not,
     # and a transition on an event outside the alphabet moves neither search
     # and is dropped, like every transition that the searches do not follow.
-    @pytest.mark.parametrize("states, transitions, initial, trimmed, acc, coacc, nonblocking", [
+    @pytest.mark.parametrize("states, transitions, initial, trimmed", [
         pytest.param(("s0", "s1"), {("s0", "a"): "s1", ("ghost", "b"): "s0"}, "s0",
                      (("s0", "s1"), {("s0", "a"): "s1"}, "s0", ("s1",)),
-                     ("s0", "s1"), ("s0", "s1"), True, id="undeclared-source-unreached"),
+                     id="undeclared-source-unreached"),
         pytest.param(("s0", "s1"), {("s0", "a"): "ghost", ("ghost", "b"): "s1",
                                     ("s1", "a"): "s0"}, "s0",
-                     ((), {}, None, ()), ("s0", "s1"), (), False,
-                     id="undeclared-source-reached"),
+                     ((), {}, None, ()), id="undeclared-source-reached"),
         pytest.param(("s0", "s1"), {("s0", "a"): "s1", ("s1", "b"): "ghost"}, "s0",
                      (("s0", "s1"), {("s0", "a"): "s1"}, "s0", ("s1",)),
-                     ("s0", "s1"), ("s0", "s1"), False, id="undeclared-target"),
+                     id="undeclared-target"),
         pytest.param(("s0", "s1", "s2"), {("s0", "a"): "s1", ("s1", "x"): "s0",
                                           ("s0", "x"): "s2", ("s2", "b"): "s1"}, "s0",
                      (("s0", "s1"), {("s0", "a"): "s1"}, "s0", ("s1",)),
-                     ("s0", "s1"), ("s0", "s1", "s2"), True, id="event-outside-alphabet"),
+                     id="event-outside-alphabet"),
         pytest.param(("s0", "s1"), {("ghost", "a"): "s0", ("s0", "a"): "s1"}, "ghost",
-                     ((), {}, None, ()), (), (), False, id="initial-outside-states"),
+                     ((), {}, None, ()), id="initial-outside-states"),
     ])
-    def test_invalid_in_memory_automata(self, states, transitions, initial, trimmed,
-                                        acc, coacc, nonblocking):
+    def test_invalid_in_memory_automata(self, states, transitions, initial, trimmed):
         a = Automaton("m", Alphabet((("a", True), ("b", True))), states, transitions,
                       initial, ("s1",))
         assert a.validate()
         t = a.trim()
         assert (t.states, t.transitions, t.initial, t.marked) == trimmed
-        assert a.accessible().states == acc
-        assert a.coaccessible().states == coacc
-        assert a.is_nonblocking() == nonblocking
 
     def test_trim_nonblocking_when_nonempty(self):
         rng = random.Random(11)
         for _ in range(50):
             t = random_automaton(rng, ["a", "b"]).trim()
             if not t.is_empty:
-                assert t.is_nonblocking()
+                assert check_nonconflicting(t, ()).nonconflicting
 
 
 class TestNonblocking:
     @pytest.mark.parametrize("kind", fms.MACHINE_KINDS)
     def test_machines_nonblocking(self, kind):
-        assert fms.build(kind).is_nonblocking()
+        assert check_nonconflicting(fms.build(kind), ()).nonconflicting
 
     def test_dead_end_blocks(self):
-        assert not chain().is_nonblocking()
+        assert not check_nonconflicting(chain(), ()).nonconflicting
 
     def test_no_marked_states_blocks(self):
-        assert not chain(marked=()).is_nonblocking()
+        assert not check_nonconflicting(chain(marked=()), ()).nonconflicting
 
 
 class TestSublanguage:
@@ -352,4 +335,4 @@ def test_active_is_domain_of_transition_map(data):
     a = Automaton("h", Alphabet(tuple((e, True) for e in events)),
                   states, trans, states[0], (states[0],))
     for q in states:
-        assert set(a.active(q)) == {e for e in events if a.step(q, e) is not None}
+        assert set(a.active(q)) == {e for e in events if (q, e) in a.transitions}

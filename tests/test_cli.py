@@ -239,6 +239,14 @@ class TestSimulate:
             reports.append(path.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_random_run_summary_line(self, runner, corpus):
+        result = runner.invoke(main, [
+            "simulate", "--plant", str(corpus / "G_total.json"),
+            "--sup", str(corpus / "S1.json"), "--sup", str(corpus / "S2.json"),
+            "--random", "--seed", "1", "--steps", "500"])
+        assert result.exit_code == 0
+        assert result.output == "500 steps, completions cat1=5 cat2=2\n"
+
     def test_exactly_one_mode_required(self, runner, corpus, tmp_path):
         script = tmp_path / "t.txt"
         script.write_text("C1.load\n")
@@ -433,7 +441,13 @@ def test_fuzzed_models_keep_the_exit_code_contract(fuzz_dir, text):
                  ["compile-spec", str(fuzz_dir / "base.expr"), "--alphabet", model, "-o", out],
                  ["equivalent", model, base],
                  ["simulate", "--plant", model, "--sup", base,
-                  "--script", str(fuzz_dir / "base.script"), "--steps", "5"]):
+                  "--script", str(fuzz_dir / "base.script"), "--steps", "5"],
+                 ["simulate", "--plant", model, "--sup", base, "--random", "--steps", "5"],
+                 ["minimize", model, "-o", out], ["export-dot", model],
+                 ["synth", "--plant", model, "--spec", str(fuzz_dir / "base.expr"), "-o", out],
+                 ["check-conflict", "--plant", model, "--sup", base],
+                 ["check-conflict", "--plant", base, "--sup", model],
+                 ["check-ctrl", "--partition", "sec2", "--plant", model, "--sup", base]):
         _assert_contract(runner.invoke(main, args))
 
 
@@ -448,3 +462,20 @@ def test_fuzzed_specs_and_scripts_keep_the_exit_code_contract(fuzz_dir, tokens):
                  ["simulate", "--plant", base, "--script", str(fuzz_dir / "w.txt"),
                   "--steps", "5"]):
         _assert_contract(runner.invoke(main, args))
+
+
+# Lines a user might type at the simulate prompt: choices in and out of range,
+# the commands, blank lines and junk.
+_PROMPT_LINES = (st.integers(-3, 12).map(str) | st.integers(13, 10**30).map(str)
+                 | st.sampled_from(["undo", "state", "quit", "", "  ", " 1 ", "1.5", "0x1"])
+                 | st.text(st.characters(exclude_categories=("Cs",),
+                                         exclude_characters="\r\n"), max_size=8))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lines=st.lists(_PROMPT_LINES, max_size=15))
+def test_fuzzed_interactive_input_keeps_the_exit_code_contract(corpus, lines):
+    result = CliRunner().invoke(main, [
+        "simulate", "--plant", str(corpus / "G_total.json"), "--sup", str(corpus / "S1.json"),
+        "--interactive", "--steps", "10"], input="\n".join(lines))
+    _assert_contract(result)

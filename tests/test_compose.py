@@ -3,7 +3,7 @@ import random
 import pytest
 
 from desctl import fms
-from desctl.automata import Alphabet, Automaton, path_to
+from desctl.automata import Alphabet, Automaton, edges_of, explore, path_to
 from desctl.compose import ComposeError, merged_alphabet, pairs, parallel, product, successors
 from desctl.espec import equivalent
 from oracles import (all_strings, explore_closed_loop, project, random_automaton,
@@ -48,7 +48,8 @@ def test_disjoint_alphabet_state_count_is_product():
         if a.is_empty or b.is_empty:
             continue
         p = parallel([a, b])
-        assert len(p.states) == len(a.accessible().states) * len(b.accessible().states)
+        reach = [explore(x.initial, edges_of(x))[0] for x in (a, b)]
+        assert len(p.states) == len(reach[0]) * len(reach[1])
 
 
 def test_shared_events_synchronize():

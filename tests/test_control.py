@@ -96,12 +96,12 @@ class TestControllability:
         s, e = check_controllability(plant_alt, sup).counterexample
         qp, qs = plant_alt.initial, sup.initial
         for x in s:
-            qp = plant_alt.step(qp, x)
-            qs = sup.step(qs, x) if x in sup.alphabet else qs
+            qp = plant_alt.transitions.get((qp, x))
+            qs = sup.transitions.get((qs, x)) if x in sup.alphabet else qs
             assert qp is not None and qs is not None
         assert not plant_alt.alphabet.is_controllable(e)
-        assert plant_alt.step(qp, e) is not None
-        assert e in sup.alphabet and sup.step(qs, e) is None
+        assert plant_alt.transitions.get((qp, e)) is not None
+        assert e in sup.alphabet and sup.transitions.get((qs, e)) is None
 
     def test_random_instances_agree_with_oracle(self):
         rng = random.Random(40)

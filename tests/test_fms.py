@@ -2,6 +2,7 @@ import pytest
 
 from desctl import espec, fms
 from desctl.automata import Automaton, load_automaton
+from desctl.control import check_nonconflicting
 from desctl.espec import equivalent
 
 
@@ -27,9 +28,9 @@ class TestMachines:
 
     def test_assembly_cycle(self):
         a = fms.build("A")
-        assert a.step("qA_1", "A.on") == "qA_2"
-        assert a.step("qA_2", "A.fromB7") == "qA_3"
-        assert a.step("qA_3", "A.done2") == "qA_1"
+        assert a.transitions.get(("qA_1", "A.on")) == "qA_2"
+        assert a.transitions.get(("qA_2", "A.fromB7")) == "qA_3"
+        assert a.transitions.get(("qA_3", "A.done2")) == "qA_1"
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -101,8 +102,8 @@ class TestSupervisors:
 
     def test_loop_closure(self):
         s1 = fms.build_supervisor(1)
-        assert s1.step("qS1_10", "A.on") == "qS1_1"
-        assert s1.step("qS1_14", "A.on") == "qS1_1"
+        assert s1.transitions.get(("qS1_10", "A.on")) == "qS1_1"
+        assert s1.transitions.get(("qS1_14", "A.on")) == "qS1_1"
 
     def test_unknown_category(self):
         with pytest.raises(ValueError):
@@ -130,7 +131,7 @@ class TestTotalPlant:
     def test_trim_and_nonblocking(self):
         g = fms.build_total()
         assert g.trim().states == g.states
-        assert g.is_nonblocking()
+        assert check_nonconflicting(g, ()).nonconflicting
 
 
 class TestEmit:
