@@ -11,6 +11,7 @@ The canonical empty automaton has no states and ``initial is None``.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -375,7 +376,9 @@ def _expect_strings(values: list, where: str) -> None:
             _expect(v, str, f"{where}[{i}]")
 
 
-def automaton_from_dict(doc: dict, where: str = "model") -> Automaton:
+def _header(doc: dict, where: str) -> tuple[dict, dict, dict]:
+    """The checked fields of ``doc`` other than its rows, as keyword arguments of
+    :class:`Automaton`, and the maps that check and share the names in the rows."""
     if not isinstance(doc, dict):
         raise ModelFormatError("expected a JSON object", where)
     for key in ("name", "events", "states", "initial", "marked", "transitions"):
@@ -411,15 +414,27 @@ def automaton_from_dict(doc: dict, where: str = "model") -> Automaton:
         if q not in state_of:
             raise ModelFormatError(f"unknown state {q!r}", f"{where}.marked[{i}]")
         marked.append(state_of[q])
-    rows = doc["transitions"]
+    return (dict(name=name, alphabet=alphabet, states=states, initial=state_of.get(initial),
+                 marked=tuple(marked)), state_of, event_of)
+
+
+def _add_rows(transitions: dict, rows: list, state_of: dict, event_of: dict) -> bool:
+    """Add ``rows`` to ``transitions``; False if a row is bad or repeats a ``(from, on)``."""
+    n = len(transitions) + len(rows)
     try:
-        transitions = {(state_of[r["from"]], event_of[r["on"]]): state_of[r["to"]] for r in rows}
+        for r in rows:
+            transitions[state_of[r["from"]], event_of[r["on"]]] = state_of[r["to"]]
     except (TypeError, KeyError):
-        transitions = {}
-    if len(transitions) != len(rows):  # a bad row, or a repeated (from, on)
+        return False
+    return len(transitions) == n
+
+
+def automaton_from_dict(doc: dict, where: str = "model") -> Automaton:
+    fields, state_of, event_of = _header(doc, where)
+    rows, transitions = doc["transitions"], {}
+    if not _add_rows(transitions, rows, state_of, event_of):
         raise _bad_row(rows, state_of, event_of, where)
-    return Automaton(name=name, alphabet=alphabet, states=states, transitions=transitions,
-                     initial=state_of.get(initial), marked=tuple(marked))
+    return Automaton(transitions=transitions, **fields)
 
 
 def _bad_row(rows: list, state_of: dict, event_of: dict, where: str) -> ModelFormatError:
@@ -447,15 +462,85 @@ def _bad_row(rows: list, state_of: dict, event_of: dict, where: str) -> ModelFor
         seen.add((src, on))
 
 
+# Characters of transition rows decoded at a time.  A slice ends at "},\n", which
+# is always structural: a JSON string cannot hold a raw newline.
+_SLICE_CHARS = 1 << 20
+_scan = json.JSONDecoder().scan_once
+_skip = json.decoder.WHITESPACE.match
+
+
+def _past(s: str, idx: int, token: str) -> int:
+    """The index past ``token``, which follows ``s[idx]`` and any whitespace."""
+    idx = _skip(s, idx).end()
+    if not s.startswith(token, idx):
+        raise ValueError(f"expected {token!r}")
+    return idx + len(token)
+
+
+def _decode_rows(s: str, idx: int, transitions: dict, state_of: dict,
+                 event_of: dict) -> tuple[str, int]:
+    """Add the rows of the array at ``s[idx]`` to ``transitions`` a slice at a time;
+    the text and the index past the array (the rest of ``s``, past one slice)."""
+    while (cut := s.find("},\n", idx + _SLICE_CHARS)) >= 0:
+        piece = f"[{s[idx + 1:cut + 1]}]"
+        rows, end = _scan(piece, 0)
+        if end != len(piece) or not _add_rows(transitions, rows, state_of, event_of):
+            raise ValueError("not a slice of rows")
+        idx = cut + 1  # at the "," before the next row
+    if s.startswith(",", idx):
+        s, idx = "[" + s[idx + 1:], 0
+    rows, idx = _scan(s, idx)  # in place, if the array is shorter than one slice
+    if not _add_rows(transitions, rows, state_of, event_of):
+        raise ValueError("bad row")
+    return s, idx
+
+
+def _decode_streamed(s: str, where: str) -> Automaton:
+    """The model in ``s``, a top-level field at a time and its rows a slice at a time.
+
+    Takes one object, each key once, with every field that :func:`_header`
+    checks before ``transitions``, that loads without error.
+    """
+    doc, transitions, idx, sep = {}, None, _past(s, 0, "{"), ""
+    while not s.startswith("}", idx := _skip(s, idx).end()):
+        key, idx = json.decoder.scanstring(s, _past(s, _past(s, idx, sep), '"'))
+        idx, sep = _skip(s, _past(s, idx, ":")).end(), ","
+        if key in doc:
+            raise ValueError("repeated key")
+        if key == "transitions" and s.startswith("[", idx):
+            doc[key] = []  # a list, as the header check requires; the rows go below
+            fields, state_of, event_of = _header(doc, where)
+            transitions = {}
+            s, idx = _decode_rows(s, idx, transitions, state_of, event_of)
+        else:
+            doc[key], idx = _scan(s, idx)
+    if transitions is None or _skip(s, idx + 1).end() != len(s):
+        raise ValueError("no rows, or data after the object")
+    return Automaton(transitions=transitions, **fields)
+
+
 def load_automaton(path) -> Automaton:
+    """The model in the JSON file at ``path``; ModelFormatError if it is not one.
+
+    A file longer than one slice and laid out header first has its rows decoded a
+    slice at a time.  Any other file, and any file with an error, is decoded as
+    one document, as it always was, so every diagnostic is that of
+    :func:`automaton_from_dict`.
+    """
+    where = str(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            try:
+                if os.fstat(fh.fileno()).st_size > _SLICE_CHARS:
+                    return _decode_streamed(fh.read(), where)
+            except (ValueError, StopIteration, RecursionError):  # not taken, whatever the reason
+                fh.seek(0)
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         # RFC 8259: JSON exchanged between systems must be UTF-8.  The decoder
         # recurses once per nesting level, so very deep nesting overflows.
-        raise ModelFormatError(f"invalid JSON: {exc}", str(path)) from None
-    return automaton_from_dict(doc, where=str(path))
+        raise ModelFormatError(f"invalid JSON: {exc}", where) from None
+    return automaton_from_dict(doc, where=where)
 
 
 class JsonStrings(dict):

@@ -79,16 +79,12 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="JSON verdict on stdout.")
 def cmd_validate(model, as_json):
     """Check an automaton file against the structural invariants."""
-    a = _lazy.load_automaton(model)
-    diags = a.validate()
+    # The loader rejects, with exit 2, every defect that Automaton.validate() reports.
+    _lazy.load_automaton(model)
     if as_json:
-        _emit_json({"valid": not diags, "diagnostics": diags})
-    elif diags:
-        for d in diags:
-            click.echo(d)
+        _emit_json({"valid": True, "diagnostics": []})
     else:
         _verdict("ok", True)
-    raise SystemExit(0 if not diags else 1)
 
 
 @main.command("compose")

@@ -9,13 +9,15 @@ enumeration against the definition.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import deque
 from dataclasses import replace
 from functools import lru_cache
 
 from desctl import espec, sim
-from desctl.automata import Alphabet, Automaton, explore
+from desctl.automata import (Alphabet, Automaton, ModelFormatError, automaton_from_dict,
+                             explore)
 from desctl.compose import all_marked, successors
 
 
@@ -270,6 +272,29 @@ def nerode_classes(a: Automaton) -> set[frozenset[str]]:
     return {frozenset(c) for c in classes.values()}
 
 
+# -- model files decoded as one document -----------------------------------
+
+def load_whole(path) -> Automaton:
+    """The model file at ``path`` decoded as one JSON document, then checked by
+    ``automaton_from_dict``, with JSON errors reported as the loader reports them."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ModelFormatError(f"invalid JSON: {exc}", str(path)) from None
+    return automaton_from_dict(doc, where=str(path))
+
+
+def load_outcome(load, path):
+    """``load(path)`` in a comparable form: the automaton and its transitions in
+    insertion order, or the type, text and location of the error it raised."""
+    try:
+        a = load(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc), getattr(exc, "where", None)
+    return a, list(a.transitions.items())
+
+
 # -- random instances ------------------------------------------------------
 
 def random_automaton(rng, events, max_states: int = 6, name: str = "rand",
@@ -287,6 +312,27 @@ def random_automaton(rng, events, max_states: int = 6, name: str = "rand",
         marked = (states[rng.randrange(n)],)
     return Automaton(name=name, alphabet=alphabet, states=states,
                      transitions=transitions, initial=states[0], marked=marked)
+
+
+# Quotes, backslashes, control characters, non-ASCII text, U+2028/9, a
+# character outside the Basic Multilingual Plane (a surrogate pair in JSON)
+# and the "}," that ends a slice of model rows.
+PIECES = ("q", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u03a9",
+          "\u6bb5", "\u2028", "\u2029", "\U0001f600", " ", "/", "[]", "},")
+
+
+def weird_name(rng) -> str:
+    return "".join(rng.choice(PIECES) for _ in range(rng.randint(1, 5)))
+
+
+def weird_automaton(rng) -> Automaton:
+    events = tuple(f"e{i}" for i in range(rng.randint(0, 4)))
+    states = tuple(dict.fromkeys(weird_name(rng) for _ in range(rng.randint(1, 8))))
+    transitions = {(q, e): rng.choice(states) for q in states for e in events
+                   if rng.random() < 0.5}
+    return Automaton(weird_name(rng), Alphabet(tuple((e, rng.random() < 0.5) for e in events)),
+                     states, transitions, states[0],
+                     tuple(q for q in states if rng.random() < 0.4))
 
 
 def random_modular_system(rng) -> tuple[Automaton, list[Automaton]]:

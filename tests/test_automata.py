@@ -1,18 +1,20 @@
 import copy
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desctl import fms
+from desctl import automata, fms
 from desctl.automata import (Alphabet, Automaton, BadQueryError,
                              ModelFormatError, automaton_from_dict,
                              automaton_to_dict, edges_of, empty_automaton,
                              explore, from_nodes, is_sublanguage,
                              load_automaton, save_automaton)
 from desctl.control import check_nonconflicting
-from oracles import all_strings, random_automaton, walk_generated, walk_marked
+from oracles import (all_strings, load_outcome, load_whole, random_automaton,
+                     walk_generated, walk_marked, weird_automaton)
 
 
 def chain(marked=("q1",)):
@@ -297,7 +299,7 @@ DUPLICATE = {"from": "x", "on": "a", "to": "x"}
         "integer on", "duplicate", "duplicate then non-object", "non-object then duplicate",
         "unknown event then list-valued from", "unknown initial", "list initial",
         "unknown marked", "integer marked"])
-def test_loader_diagnostics(patch, message):
+def test_loader_diagnostics(patch, message, tmp_path, monkeypatch):
     # Rows are inserted at index ``at`` (default: appended); the first bad one wins.
     doc = copy.deepcopy(MODEL)
     patch = dict(patch)
@@ -308,6 +310,87 @@ def test_loader_diagnostics(patch, message):
         automaton_from_dict(doc, where="m.json")
     assert str(err.value) == message
     assert err.value.where == message.split(": ", 1)[0]
+    assert_loads_as_whole(layouts(doc, random.Random(at)), tmp_path, monkeypatch)
+
+
+# -- the loader against the whole-document decode ---------------------------
+
+# Characters per slice of rows: one row a slice, a few rows, and the default,
+# under which a file this small is decoded as one document.
+SLICES = (1, 64, 1 << 20)
+
+
+def layouts(doc: dict, rng) -> list[str]:
+    """Texts of ``doc``: save_automaton's layout, compact, unescaped, keys shuffled,
+    ``transitions`` first, header keys repeated before and after the rows, extra
+    keys after them, whitespace and then data after the object."""
+    keys = list(doc)
+    rng.shuffle(keys)
+    text = json.dumps(doc, indent=2)
+    return [text + "\n", json.dumps(doc), json.dumps(doc, indent=2, ensure_ascii=False),
+            json.dumps({k: doc[k] for k in keys}, indent=2),
+            json.dumps({k: doc[k] for k in sorted(doc, key=lambda k: k != "transitions")},
+                       indent=2),
+            '{"marked": 7, "transitions": 7,' + text[1:],
+            text[:-2] + ',\n  "name": "again"\n}',
+            text[:-2] + ',\n  "name": "again",\n  "transitions": []\n}',
+            json.dumps({**doc, "notes": [{"a": 1}, {"b": [{}, {}]}], "z": None}, indent=2),
+            text + "\n \t\r\n", text + "\n{}"]
+
+
+def assert_loads_as_whole(texts, tmp_path, monkeypatch) -> None:
+    """``load_automaton`` gives what the whole-document decode gives, at every slice size."""
+    path = tmp_path / "m.json"
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        expected = load_outcome(load_whole, path)
+        for chars in SLICES:
+            monkeypatch.setattr(automata, "_SLICE_CHARS", chars)
+            assert load_outcome(load_automaton, path) == expected, (chars, text)
+
+
+def test_loader_decodes_as_the_whole_document(tmp_path, monkeypatch):
+    fms.emit(str(tmp_path))
+    docs = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.json"))]
+    rng = random.Random(19)
+    docs += [automaton_to_dict(random_automaton(rng, [f"e{i}" for i in range(rng.randint(1, 4))],
+                                                8)) for _ in range(200)]
+    docs += [automaton_to_dict(weird_automaton(rng)) for _ in range(50)]
+    # Rows after the rows, under another key, so that a slice can end past the array.
+    docs += [{**d, "transitions": d["transitions"][:1], "more": d["transitions"][1:]}
+             for d in docs[-250:-200]]
+    # Rows holding "},\n" themselves, so that a slice can end inside a row.
+    docs.append({**MODEL, "transitions": [{**r, "notes": [{"k": 1}, {"k": 2}]}
+                                          for r in MODEL["transitions"]]})
+    assert_loads_as_whole([t for doc in docs for t in layouts(doc, rng)], tmp_path, monkeypatch)
+
+
+def test_saved_models_decode_a_slice_at_a_time(tmp_path, monkeypatch):
+    # The streamed decode itself, not the whole-document decode it falls back on.
+    for a in (fms.build_total(), weird_automaton(random.Random(5))):
+        save_automaton(a, tmp_path / "m.json")
+        text = (tmp_path / "m.json").read_text(encoding="utf-8")
+        for chars in SLICES:
+            monkeypatch.setattr(automata, "_SLICE_CHARS", chars)
+            b = automata._decode_streamed(text, "m.json")
+            assert (b, list(b.transitions.items())) == (a, list(a.transitions.items()))
+
+
+def test_loader_on_broken_texts(tmp_path, monkeypatch):
+    rng = random.Random(7)
+    text = json.dumps(automaton_to_dict(random_automaton(rng, ["a", "b", "c"], 8)), indent=2)
+    deep = "[" * 100_000 + "]" * 100_000
+    # Which container overflows the decoder's recursion sets the message.
+    mixed = '[{"k": ' * 50_000 + "1" + "}]" * 50_000
+    header = json.dumps(MODEL, indent=2)[:-2] + ","
+    assert_loads_as_whole(
+        [text[:n] for n in range(0, len(text), 7)]
+        + ["", " ", "{}", "[]", "null", "\ufeff" + text, text[:-2] + ",\n}",
+           '{"name": ' + deep + "}", header + '\n  "events": ' + deep + "}",
+           '{"name": ' + mixed + "}", '{"name": [' + mixed + "]}",
+           text.replace('"to": ', '"to": ' + deep + ", ", 1),
+           text.replace('"to": ', '"to": ' + mixed + ", ", 1)],
+        tmp_path, monkeypatch)
 
 
 def test_loaded_model_shares_names(tmp_path):

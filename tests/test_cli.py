@@ -6,8 +6,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desctl import fms
-from desctl.automata import load_automaton
+from desctl import automata, fms
+from desctl.automata import ModelFormatError, load_automaton
 from desctl.cli import main
 from desctl.control import closed_loop
 
@@ -52,7 +52,7 @@ class TestValidate:
     def test_json_verdict(self, runner, corpus):
         result = runner.invoke(main, ["validate", "--json", str(corpus / "C1.json")])
         assert result.exit_code == 0
-        assert json.loads(result.output) == {"valid": True, "diagnostics": []}
+        assert result.output == '{\n  "valid": true,\n  "diagnostics": []\n}\n'
 
     def test_unknown_initial_state_rejected_at_load(self, runner, corpus, tmp_path):
         doc = json.loads((corpus / "C1.json").read_text())
@@ -402,7 +402,8 @@ def _model_text(draw) -> str:
             node[draw(_NAMES)] = draw(_JSON)
         else:
             node.append(draw(_JSON))
-    text = json.dumps(doc)
+    # Compact, or laid out as save_automaton lays a model out.
+    text = json.dumps(doc) if draw(st.booleans()) else json.dumps(doc, indent=2) + "\n"
     return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 5)) == 0 else text
 
 
@@ -435,20 +436,37 @@ def test_fuzzed_models_keep_the_exit_code_contract(fuzz_dir, text):
     (fuzz_dir / "m.json").write_text(text)
     out = str(fuzz_dir / "out.json")
     runner = CliRunner()
-    for args in (["validate", model], ["compose", model, base, "-o", out],
-                 ["check-ctrl", "--plant", base, "--sup", model],
-                 ["check-ctrl", "--plant", model, "--sup", base],
-                 ["compile-spec", str(fuzz_dir / "base.expr"), "--alphabet", model, "-o", out],
-                 ["equivalent", model, base],
-                 ["simulate", "--plant", model, "--sup", base,
-                  "--script", str(fuzz_dir / "base.script"), "--steps", "5"],
-                 ["simulate", "--plant", model, "--sup", base, "--random", "--steps", "5"],
-                 ["minimize", model, "-o", out], ["export-dot", model],
-                 ["synth", "--plant", model, "--spec", str(fuzz_dir / "base.expr"), "-o", out],
-                 ["check-conflict", "--plant", model, "--sup", base],
-                 ["check-conflict", "--plant", base, "--sup", model],
-                 ["check-ctrl", "--partition", "sec2", "--plant", model, "--sup", base]):
-        _assert_contract(runner.invoke(main, args))
+    # Slices of a row or two, so that a laid-out model's rows take several.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "_SLICE_CHARS", 64)
+        for args in (["validate", model], ["compose", model, base, "-o", out],
+                     ["check-ctrl", "--plant", base, "--sup", model],
+                     ["check-ctrl", "--plant", model, "--sup", base],
+                     ["compile-spec", str(fuzz_dir / "base.expr"), "--alphabet", model,
+                      "-o", out],
+                     ["equivalent", model, base],
+                     ["simulate", "--plant", model, "--sup", base,
+                      "--script", str(fuzz_dir / "base.script"), "--steps", "5"],
+                     ["simulate", "--plant", model, "--sup", base, "--random", "--steps", "5"],
+                     ["minimize", model, "-o", out], ["export-dot", model],
+                     ["synth", "--plant", model, "--spec", str(fuzz_dir / "base.expr"),
+                      "-o", out],
+                     ["check-conflict", "--plant", model, "--sup", base],
+                     ["check-conflict", "--plant", base, "--sup", model],
+                     ["check-ctrl", "--partition", "sec2", "--plant", model, "--sup", base]):
+            _assert_contract(runner.invoke(main, args))
+
+
+# Every defect that Automaton.validate() reports, the loader rejects first.
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=_model_text())
+def test_fuzzed_models_that_load_are_valid(fuzz_dir, text):
+    (fuzz_dir / "v.json").write_text(text)
+    try:
+        a = load_automaton(fuzz_dir / "v.json")
+    except ModelFormatError:
+        return
+    assert a.validate() == []
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

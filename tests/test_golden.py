@@ -17,13 +17,13 @@ import tracemalloc
 
 import pytest
 
-from desctl import espec, fms, sim
+from desctl import automata, espec, fms, sim
 from desctl.automata import (Alphabet, Automaton, automaton_to_dict, load_automaton,
                              save_automaton)
 from desctl.compose import parallel
 from desctl.control import check_controllability, check_nonconflicting, closed_loop, supcon
 from desctl.dot import export_dot
-from oracles import random_ast, random_automaton
+from oracles import load_outcome, load_whole, random_ast, random_automaton
 
 
 def _digest(text: str) -> str:
@@ -146,6 +146,34 @@ def test_loading_the_kd1_supervisor_shares_names(kd1_supervisor, tmp_path):
         tracemalloc.stop()
     assert loaded == kd1_supervisor
     assert held < 10_000_000
+
+
+def test_loading_the_kd1_supervisor_decodes_rows_a_slice_at_a_time(kd1_supervisor, tmp_path):
+    # The 8.4 MB file decoded as one document, a dict and three strings per row,
+    # before any row is converted, peaks at about 31.6 MB.
+    path = tmp_path / "sup.json"
+    save_automaton(kd1_supervisor, path)
+    tracemalloc.start()
+    try:
+        load_automaton(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24_000_000
+
+
+def test_loading_the_kd1_supervisor_as_the_whole_document(kd1_supervisor, tmp_path,
+                                                          monkeypatch):
+    # Saved, compact and cut two thirds of the way in: many slices, then an error.
+    path = tmp_path / "sup.json"
+    save_automaton(kd1_supervisor, path)
+    saved = path.read_text()
+    for text in (saved, json.dumps(json.loads(saved)), saved[:len(saved) * 2 // 3]):
+        path.write_text(text)
+        expected = load_outcome(load_whole, path)
+        for chars in (4096, 1 << 20):
+            monkeypatch.setattr(automata, "_SLICE_CHARS", chars)
+            assert load_outcome(load_automaton, path) == expected
 
 
 def test_closed_loop_dot(loop):

@@ -16,25 +16,7 @@ from desctl import espec, fms, sim
 from desctl.automata import (Alphabet, Automaton, automaton_to_dict,
                              empty_automaton, save_automaton)
 from desctl.control import closed_loop, supcon
-
-# Quotes, backslashes, control characters, non-ASCII text, U+2028/9 and a
-# character outside the Basic Multilingual Plane (a surrogate pair in JSON).
-PIECES = ("q", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u03a9",
-          "\u6bb5", "\u2028", "\u2029", "\U0001f600", " ", "/", "[]")
-
-
-def weird_name(rng) -> str:
-    return "".join(rng.choice(PIECES) for _ in range(rng.randint(1, 5)))
-
-
-def weird_automaton(rng) -> Automaton:
-    events = tuple(f"e{i}" for i in range(rng.randint(0, 4)))
-    states = tuple(dict.fromkeys(weird_name(rng) for _ in range(rng.randint(1, 8))))
-    transitions = {(q, e): rng.choice(states) for q in states for e in events
-                   if rng.random() < 0.5}
-    return Automaton(weird_name(rng), Alphabet(tuple((e, rng.random() < 0.5) for e in events)),
-                     states, transitions, states[0],
-                     tuple(q for q in states if rng.random() < 0.4))
+from oracles import weird_automaton, weird_name
 
 
 def assert_saved_as_dumps(a: Automaton, path) -> None:
