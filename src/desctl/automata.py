@@ -5,6 +5,10 @@ map, the active-event sets (derived from the transition map, never stored),
 an initial state and a set of marked states.  All values are immutable
 after construction; operations return new automata.
 
+The edges are stored once, as ``out[i] = [e0, t0, e1, t1, ...]`` per state
+``i``: event ranks in the alphabet and target state indices, in alphabet
+order.  Every algorithm reads them there; names return only at the boundary.
+
 The canonical empty automaton has no states and ``initial is None``.
 """
 
@@ -13,9 +17,11 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import InputError
@@ -52,7 +58,7 @@ class Alphabet:
     """Ordered event set with a controllable/uncontrollable partition.
 
     ``events``, ``controllable`` and ``uncontrollable`` are tuples of event
-    ids in declaration order, computed once at construction.
+    ids in declaration order, and ``rank`` maps each to its index in ``events``.
     """
 
     entries: tuple[tuple[str, bool], ...]
@@ -65,11 +71,11 @@ class Alphabet:
             if eid in seen:
                 raise ModelFormatError(f"duplicate event id {eid!r}")
             seen.add(eid)
-        object.__setattr__(self, "_flags", dict(self.entries))
-        object.__setattr__(self, "events", tuple(e for e, _ in self.entries))
-        object.__setattr__(self, "controllable", tuple(e for e, c in self.entries if c))
-        object.__setattr__(self, "uncontrollable",
-                           tuple(e for e, c in self.entries if not c))
+        events = tuple(e for e, _ in self.entries)
+        self.__dict__.update(_flags=dict(self.entries), events=events,
+                             rank=dict(zip(events, range(len(events)))),
+                             controllable=tuple(e for e, c in self.entries if c),
+                             uncontrollable=tuple(e for e, c in self.entries if not c))
 
     def __contains__(self, eid: str) -> bool:
         return eid in self._flags
@@ -89,29 +95,62 @@ class Alphabet:
         return Alphabet(tuple((e, e not in uc) for e, _ in self.entries))
 
 
+class Transitions(Mapping):
+    """The read-only map ``(state, event) -> state`` over ``out``, in state then alphabet order."""
+
+    def __init__(self, states: tuple, alphabet: Alphabet, out: list):
+        self.states, self.alphabet, self.out = states, alphabet, out
+        self.index = dict(zip(states, range(len(states))))
+
+    def __getitem__(self, key):
+        q, e = key
+        if (t := dict(pairs(self.out[self.index[q]])).get(self.alphabet.rank[e])) is None:
+            raise KeyError(key)
+        return self.states[t]
+
+    def __iter__(self):
+        events = self.alphabet.events
+        return ((q, events[k]) for q, row in zip(self.states, self.out) for k in row[::2])
+
+    def __len__(self) -> int:
+        return sum(map(len, self.out)) // 2
+
+
 @dataclass(frozen=True)
 class Automaton:
     """Deterministic finite automaton with a partial transition map.
 
-    The constructor does not enforce the structural invariants beyond what
-    the representation forces (determinism is structural: ``transitions``
-    is a map).  Use :meth:`validate` to obtain diagnostics, and the JSON
-    loader for strict rejection of malformed inputs.
+    The constructor maps ``transitions``, ``(state, event) -> state`` by name, to
+    ``out`` once, and raises a located ModelFormatError on a repeated state, an
+    unknown initial, marked, source or target state, or an event outside the
+    alphabet.  ``transitions`` is then a :class:`Transitions` view of ``out``.
     """
 
     name: str
     alphabet: Alphabet
     states: tuple[str, ...]
-    transitions: dict[tuple[str, str], str]
+    transitions: Mapping
     initial: Optional[str]
     marked: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "marked", tuple(self.marked))
-        object.__setattr__(self, "transitions", dict(self.transitions))
-        object.__setattr__(self, "_state_set", set(self.states))
-        object.__setattr__(self, "_marked_set", set(self.marked))
+        states, edges, alphabet, rows = tuple(self.states), self.transitions, self.alphabet, None
+        # The view of an automaton with the same names, as ``replace`` passes it
+        # on, is taken as it is.
+        if not (isinstance(edges, Transitions)
+                and (edges.states, edges.alphabet.events) == (states, alphabet.events)):
+            rows = [{"from": q, "on": e, "to": t} for (q, e), t in edges.items()]
+            edges = Transitions(states, alphabet, [[] for _ in states])
+        start, marked = _ends(edges.index, states, self.initial, self.marked, "")
+        if rows is not None and not _add_rows(edges, map(_row_names, rows)):
+            raise _bad_row(rows, edges, "")
+        # Frozen: the fields are set past the dataclass's __setattr__.  ``index``
+        # maps each state name to its index, ``start`` is the initial state's
+        # index (None if there is none) and ``marked_ids`` the marked states'.
+        self.__dict__.update(states=states, transitions=edges, out=edges.out, index=edges.index,
+                             start=start, marked_ids=frozenset(marked),
+                             initial=None if start is None else states[start],
+                             marked=tuple(states[i] for i in marked))
 
     # -- basic queries ----------------------------------------------------
 
@@ -119,125 +158,107 @@ class Automaton:
     def is_empty(self) -> bool:
         return not self.states
 
-    def has_state(self, q: str) -> bool:
-        return q in self._state_set
-
     def is_marked(self, q: str) -> bool:
-        return q in self._marked_set
-
-    def validate(self) -> list[str]:
-        """Diagnostics for every violated invariant; empty list iff valid."""
-        diags: list[str] = []
-        seen: set[str] = set()
-        for q in self.states:
-            if q in seen:
-                diags.append(f"duplicate state name {q!r}")
-            seen.add(q)
-        if self.initial is None:
-            if self.states:
-                diags.append("no initial state in a nonempty automaton")
-        elif self.initial not in self._state_set:
-            diags.append(f"initial state {self.initial!r} not in states")
-        for q in self.marked:
-            if q not in self._state_set:
-                diags.append(f"marked state {q!r} not in states")
-        for (q, e), t in self.transitions.items():
-            if q not in self._state_set:
-                diags.append(f"transition ({q!r}, {e!r}): unknown source state")
-            if t not in self._state_set:
-                diags.append(f"transition ({q!r}, {e!r}) -> {t!r}: unknown target state")
-            if e not in self.alphabet:
-                diags.append(f"transition ({q!r}, {e!r}): event not in alphabet")
-        return diags
+        return self.index.get(q) in self.marked_ids
 
     def active(self, q: str) -> tuple[str, ...]:
         """Active-event set at ``q``, in alphabet order."""
-        if q not in self._state_set:
+        if q not in self.index:
             raise BadQueryError(f"unknown state {q!r}")
-        return tuple(e for e in self.alphabet.events if (q, e) in self.transitions)
+        return spelled(self.alphabet.events, self.out[self.index[q]][::2])
 
     # -- reachability -----------------------------------------------------
 
     def trim(self) -> "Automaton":
-        """Accessible and coaccessible part; empty automaton if nothing survives.
-
-        One pass over the transition map builds successor and predecessor lists;
-        only events in the alphabet count, and only states in ``states`` are
-        predecessors.
-        """
-        succ: dict = {}
-        pred: dict = {}
-        flags, declared = self.alphabet._flags, self._state_set
-        for (q, e), t in self.transitions.items():
-            if e in flags:
-                succ.setdefault(q, []).append(t)
-                if q in declared:
-                    pred.setdefault(t, []).append(q)
+        """Accessible and coaccessible part; empty automaton if nothing survives."""
+        out = self.out
         # Every successor of a reachable state is reachable, so coreachability
         # within the accessible part is plain coreachability.
-        keep = (reachable(succ, [self.initial] if self.initial in declared else [])
-                & reachable(pred, (q for q in self.marked if q in declared)))
-        if self.initial not in keep:
+        keep = (reachable(lambda q: out[q][1::2], () if self.start is None else (self.start,))
+                & reachable(predecessors(out).__getitem__, self.marked_ids))
+        if self.start not in keep:
             return empty_automaton(self.name, self.alphabet)
-        # The kept transitions are the existing items, keys and all, on the
-        # events that the reachability searches follow.
-        return Automaton(self.name, self.alphabet, tuple(q for q in self.states if q in keep),
-                         (kt for kt in self.transitions.items()
-                          if kt[0][0] in keep and kt[1] in keep and kt[0][1] in flags),
-                         self.initial, tuple(q for q in self.marked if q in keep))
+        return from_nodes(self.name, self.alphabet, {q: self.states[q] for q in sorted(keep)},
+                          lambda q: pairs(out[q]), self.start,
+                          (q for q in map(self.index.get, self.marked) if q in keep))
 
     def renamed(self, name: str) -> "Automaton":
         return replace(self, name=name)
 
 
 def empty_automaton(name: str, alphabet: Alphabet) -> Automaton:
-    return Automaton(name=name, alphabet=alphabet, states=(),
-                     transitions={}, initial=None, marked=())
+    return Automaton(name, alphabet, (), {}, None, ())
 
 
-def edges_of(a: Automaton) -> Callable[[str], list[tuple[str, str]]]:
-    """``edges(q)``: the out-edges ``[(event, target), ...]`` of ``q`` in alphabet order.
+def _ends(index: dict, states: tuple, initial, marked, at: str) -> tuple[Optional[int], list]:
+    """The indices of ``initial`` and ``marked``; ModelFormatError, located after ``at``."""
+    if len(index) != len(states):
+        raise ModelFormatError("duplicate state names", f"{at}states")
+    start = index.get(initial)
+    if (start is None) if states else (initial is not None):
+        raise ModelFormatError(f"initial state {initial!r} not in states", f"{at}initial")
+    ids = [index.get(q) for q in marked]
+    if None in ids:
+        i = ids.index(None)
+        raise ModelFormatError(f"unknown state {marked[i]!r}", f"{at}marked[{i}]")
+    return start, ids
 
-    The transition map is indexed once per call, as the map's own ``(q, event)``
-    keys grouped by source state; events outside the alphabet are skipped,
-    sources outside ``states`` are not.  Nothing is cached on ``a``.
-    """
-    rank = {e: k for k, e in enumerate(a.alphabet.events)}
-    rows: dict = {}
-    unsorted = set()
-    for key in a.transitions:
-        if (k := rank.get(key[1])) is not None:
-            row = rows.setdefault(key[0], [])
-            if row and rank[row[-1][1]] > k:
-                unsorted.add(key[0])
-            row.append(key)
-    for q in unsorted:  # only rows that the map lists out of alphabet order
-        rows[q].sort(key=lambda key: rank[key[1]])
-    transitions = a.transitions
-    # Looking a target up by the existing key builds no key tuple per edge.
-    return lambda q: [(key[1], transitions[key]) for key in rows.get(q, ())]
+
+def pairs(flat):
+    """The ``(event, target)`` pairs of a flat out-edge list ``[e0, t0, e1, t1, ...]``."""
+    it = iter(flat)
+    return zip(it, it)
+
+
+def spelled(events, word) -> tuple[str, ...]:
+    """The names of the events numbered ``word`` in ``events``."""
+    return tuple(map(events.__getitem__, word))
+
+
+# A probe scans an edge list of at most this many entries (16 edges, about the
+# degree of the cell's plant); a longer one gets a dict.
+_SCAN = 32
+
+
+def prober(a: Automaton) -> Callable[[int, Optional[int]], Optional[int]]:
+    """``probe(q, e)``: the target of ``a``'s edge from ``q`` on event rank ``e``, or None."""
+    # A short edge list is scanned.  A state with more edges gets a dict of them on
+    # its first probe, kept by this probe only, so no probe costs the state's degree.
+    out, wide = a.out, {}
+
+    def probe(q, e):
+        row = out[q]
+        if len(row) <= _SCAN:
+            events = row[::2]
+            return row[2 * events.index(e) + 1] if e in events else None
+        if (edges := wide.get(q)) is None:
+            edges = wide[q] = dict(pairs(row))
+        return edges.get(e)
+
+    return probe
+
+
+def from_lists(name: str, alphabet: Alphabet, states, out: list, start: int,
+               marked: Iterable[int]) -> Automaton:
+    """The automaton over ``states`` with ``out`` as it is; the other states by index."""
+    states = tuple(states)
+    return Automaton(name, alphabet, states, Transitions(states, alphabet, out), states[start],
+                     [states[q] for q in marked])
 
 
 def from_nodes(name: str, alphabet: Alphabet, names: dict, edges: Callable,
                initial, marked: Iterable) -> Automaton:
-    """The automaton over explored nodes, with states named at the boundary.
-
-    ``names`` maps each node to its state name, in state order; ``edges(node)``
-    lists the node's ``(event, node)`` out-edges, and an edge into a node that
-    ``names`` lacks is dropped.  ``marked`` yields the marked nodes.
-    """
-    # The constructor's dict() consumes the generator, so the named map is
-    # built once rather than built and then copied.
-    return Automaton(name=name, alphabet=alphabet, states=tuple(names.values()),
-                     transitions=(((s, e), names[t]) for q, s in names.items()
-                                  for e, t in edges(q) if t in names),
-                     initial=names[initial],
-                     marked=tuple(names[q] for q in marked))
+    """The automaton over ``names``, node -> state name in state order.  ``edges(node)``
+    lists ``(event rank, node)`` pairs in alphabet order (an edge into a node that
+    ``names`` lacks is dropped); ``marked`` yields nodes."""
+    ids = dict(zip(names, range(len(names))))
+    out = [[x for e, t in edges(node) if t in ids for x in (e, ids[t])] for node in names]
+    return from_lists(name, alphabet, names.values(), out, ids[initial], map(ids.get, marked))
 
 
 # -- breadth-first search ------------------------------------------------
 
-def explore(start, step: Callable) -> tuple[list, dict, Optional[tuple[str, ...]]]:
+def explore(start, step: Callable) -> tuple[list, dict, Optional[tuple]]:
     """Breadth-first search from ``start`` with one parent pointer per node.
 
     ``step(node)`` returns the out-edges of ``node`` as ``(event, target)``
@@ -246,9 +267,9 @@ def explore(start, step: Callable) -> tuple[list, dict, Optional[tuple[str, ...]
 
     Returns ``(order, parent, witness)``: the expanded nodes in BFS order,
     ``parent[t] = (node, event)`` for every discovered node (None for
-    ``start``), and the shortest violating string (None if no violation is reachable).
-    The search stops at the first violation, so ``len(order)`` counts the
-    nodes checked either way.
+    ``start``), and the events of a shortest violating string (None if there
+    is none).  The search stops at the first violation, so ``len(order)``
+    counts the nodes checked either way.
     """
     order = [start]  # the queue; nodes past index i are discovered, not expanded
     parent: dict = {start: None}
@@ -267,8 +288,8 @@ def explore(start, step: Callable) -> tuple[list, dict, Optional[tuple[str, ...]
     return order, parent, None
 
 
-def path_to(parent, node) -> tuple[str, ...]:
-    """The event string from the start to ``node`` in :func:`explore` or ``compose.product``.
+def path_to(parent, node) -> tuple:
+    """The events from the start to ``node`` in :func:`explore` or ``compose.product``.
 
     ``parent[node]`` is ``(previous node, event)``, None at the start; a dict or a list.
     """
@@ -279,21 +300,22 @@ def path_to(parent, node) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-def predecessors(nodes: Iterable, edges: Callable) -> dict:
-    """``{target: [source, ...]}`` over the out-edges ``edges(source)`` of ``nodes``."""
-    preds: dict = {}
-    for q in nodes:
-        for _e, t in edges(q):
-            preds.setdefault(t, []).append(q)
+def predecessors(out: list, events=None) -> list:
+    """``preds[t]``: the sources of the edges into ``t`` (on ``events`` if given)."""
+    preds: list = [[] for _ in out]
+    for q, row in enumerate(out):
+        for e, t in pairs(row):
+            if events is None or e in events:
+                preds[t].append(q)
     return preds
 
 
-def reachable(adjacency: dict, starts: Iterable) -> set:
-    """Nodes reachable from ``starts`` along ``adjacency = {node: [node, ...]}``."""
+def reachable(step: Callable, starts: Iterable) -> set:
+    """Nodes reachable from ``starts``, where ``step(node)`` lists the next nodes."""
     seen = set(starts)
     todo = list(seen)
     while todo:
-        for p in adjacency.get(todo.pop(), ()):
+        for p in step(todo.pop()):
             if p not in seen:
                 seen.add(p)
                 todo.append(p)
@@ -305,43 +327,27 @@ def is_sublanguage(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str
 
     Events of ``a`` absent from ``b``'s alphabet count as undefined in ``b``.
     """
-    if a.initial is None:
+    if a.start is None:
         return True, None
-    if b.initial is None:
+    if b.start is None:
         return False, ()
-
-    out = edges_of(a)
-    flags = b.alphabet._flags
+    to_b, probe = list(map(b.alphabet.rank.get, a.alphabet.events)), prober(b)
 
     def step(node):
         qa, qb = node
         edges = []
-        for e, ta in out(qa):
-            tb = b.transitions.get((qb, e)) if e in flags else None
-            if tb is None:
+        for e, ta in pairs(a.out[qa]):
+            if (tb := probe(qb, to_b[e])) is None:
                 edges.append((e, None))
                 break
             edges.append((e, (ta, tb)))
         return edges
 
-    _, _, witness = explore((a.initial, b.initial), step)
-    return witness is None, witness
+    _, _, witness = explore((a.start, b.start), step)
+    return witness is None, witness and spelled(a.alphabet.events, witness)
 
 
 # -- JSON model files -----------------------------------------------------
-
-def automaton_to_dict(a: Automaton) -> dict:
-    edges = edges_of(a)
-    return {
-        "name": a.name,
-        "events": [{"id": e, "controllable": c} for e, c in a.alphabet.entries],
-        "states": list(a.states),
-        "initial": a.initial,
-        "marked": list(a.marked),
-        "transitions": [{"from": q, "on": e, "to": t}
-                        for q in a.states for e, t in edges(q)],
-    }
-
 
 _JSON_KINDS = {str: "a string", list: "a list", bool: "true or false", int: "an integer",
                dict: "an object", (str, type(None)): "a string or null"}
@@ -376,9 +382,8 @@ def _expect_strings(values: list, where: str) -> None:
             _expect(v, str, f"{where}[{i}]")
 
 
-def _header(doc: dict, where: str) -> tuple[dict, dict, dict]:
-    """The checked fields of ``doc`` other than its rows, as keyword arguments of
-    :class:`Automaton`, and the maps that check and share the names in the rows."""
+def _header(doc: dict, where: str) -> dict:
+    """The checked fields of ``doc`` for :class:`Automaton`; :func:`_add_rows` adds the rows."""
     if not isinstance(doc, dict):
         raise ModelFormatError("expected a JSON object", where)
     for key in ("name", "events", "states", "initial", "marked", "transitions"):
@@ -399,49 +404,46 @@ def _header(doc: dict, where: str) -> tuple[dict, dict, dict]:
         raise ModelFormatError(str(exc), f"{where}.events") from None
     _expect_strings(doc["states"], f"{where}.states")
     states = tuple(doc["states"])
-    # One probe into these maps both checks a name and swaps in the declared
-    # string, so the loaded model holds one object per state and event name.
-    state_of = dict(zip(states, states))
-    event_of = dict(zip(alphabet.events, alphabet.events))
-    if len(state_of) != len(states):
-        raise ModelFormatError("duplicate state names", f"{where}.states")
-    initial = doc["initial"] if states else None
-    if states and _expect(initial, str, f"{where}.initial") not in state_of:
-        raise ModelFormatError(f"initial state {initial!r} not in states", f"{where}.initial")
+    initial = _expect(doc["initial"], str, f"{where}.initial") if states else None
     _expect_strings(doc["marked"], f"{where}.marked")
-    marked = []
-    for i, q in enumerate(doc["marked"]):
-        if q not in state_of:
-            raise ModelFormatError(f"unknown state {q!r}", f"{where}.marked[{i}]")
-        marked.append(state_of[q])
-    return (dict(name=name, alphabet=alphabet, states=states, initial=state_of.get(initial),
-                 marked=tuple(marked)), state_of, event_of)
+    edges = Transitions(states, alphabet, [[] for _ in states])
+    _ends(edges.index, states, initial, doc["marked"], f"{where}.")
+    return dict(name=name, alphabet=alphabet, states=states, initial=initial,
+                marked=doc["marked"], transitions=edges)
 
 
-def _add_rows(transitions: dict, rows: list, state_of: dict, event_of: dict) -> bool:
-    """Add ``rows`` to ``transitions``; False if a row is bad or repeats a ``(from, on)``."""
-    n = len(transitions) + len(rows)
+_row_names = itemgetter("from", "on", "to")
+
+
+def _add_rows(edges: Transitions, rows: Iterable) -> bool:
+    """Add the ``(from, on, to)`` names ``rows`` to ``edges.out``; False on a bad or a repeat."""
+    out, index, rank = edges.out, edges.index, edges.alphabet.rank
     try:
-        for r in rows:
-            transitions[state_of[r["from"]], event_of[r["on"]]] = state_of[r["to"]]
+        for q, e, t in rows:
+            row, k = out[index[q]], rank[e]
+            j = len(row)
+            while j and row[j - 2] > k:  # only rows out of event order move
+                j -= 2
+            if j and row[j - 2] == k:
+                return False
+            row[j:j] = k, index[t]
     except (TypeError, KeyError):
         return False
-    return len(transitions) == n
+    return True
 
 
 def automaton_from_dict(doc: dict, where: str = "model") -> Automaton:
-    fields, state_of, event_of = _header(doc, where)
-    rows, transitions = doc["transitions"], {}
-    if not _add_rows(transitions, rows, state_of, event_of):
-        raise _bad_row(rows, state_of, event_of, where)
-    return Automaton(transitions=transitions, **fields)
+    fields, rows = _header(doc, where), doc["transitions"]
+    if not _add_rows(fields["transitions"], map(_row_names, rows)):
+        raise _bad_row(rows, fields["transitions"], f"{where}.")
+    return Automaton(**fields)
 
 
-def _bad_row(rows: list, state_of: dict, event_of: dict, where: str) -> ModelFormatError:
-    """The error for the first of ``rows`` with a missing field, an unknown name or a repeat."""
+def _bad_row(rows: list, edges: Transitions, at: str) -> ModelFormatError:
+    """The error, located after ``at``, for the first bad one of the JSON ``rows``."""
     seen = set()
     for i, row in enumerate(rows):
-        loc = f"{where}.transitions[{i}]"
+        loc = f"{at}transitions[{i}]"
         try:
             src, on, dst = row["from"], row["on"], row["to"]
         except (TypeError, KeyError):
@@ -449,11 +451,11 @@ def _bad_row(rows: list, state_of: dict, event_of: dict, where: str) -> ModelFor
         # States and event ids are strings, so a value of another JSON type
         # is unknown, or unhashable if it is a list or an object.
         try:
-            if src not in state_of:
+            if src not in edges.index:
                 return ModelFormatError(f"unknown state {src!r}", loc)
-            if dst not in state_of:
+            if dst not in edges.index:
                 return ModelFormatError(f"unknown state {dst!r}", loc)
-            if on not in event_of:
+            if on not in edges.alphabet:
                 return ModelFormatError(f"unknown event {on!r}", loc)
         except TypeError:
             return ModelFormatError("'from', 'on' and 'to' must be strings", loc)
@@ -477,20 +479,19 @@ def _past(s: str, idx: int, token: str) -> int:
     return idx + len(token)
 
 
-def _decode_rows(s: str, idx: int, transitions: dict, state_of: dict,
-                 event_of: dict) -> tuple[str, int]:
-    """Add the rows of the array at ``s[idx]`` to ``transitions`` a slice at a time;
-    the text and the index past the array (the rest of ``s``, past one slice)."""
+def _decode_rows(s: str, idx: int, edges: Transitions) -> tuple[str, int]:
+    """Add the rows of the array at ``s[idx]`` to ``edges`` a slice at a time; the
+    text and the index past the array (the rest of ``s``, past one slice)."""
     while (cut := s.find("},\n", idx + _SLICE_CHARS)) >= 0:
         piece = f"[{s[idx + 1:cut + 1]}]"
         rows, end = _scan(piece, 0)
-        if end != len(piece) or not _add_rows(transitions, rows, state_of, event_of):
+        if end != len(piece) or not _add_rows(edges, map(_row_names, rows)):
             raise ValueError("not a slice of rows")
         idx = cut + 1  # at the "," before the next row
     if s.startswith(",", idx):
         s, idx = "[" + s[idx + 1:], 0
     rows, idx = _scan(s, idx)  # in place, if the array is shorter than one slice
-    if not _add_rows(transitions, rows, state_of, event_of):
+    if not _add_rows(edges, map(_row_names, rows)):
         raise ValueError("bad row")
     return s, idx
 
@@ -501,7 +502,7 @@ def _decode_streamed(s: str, where: str) -> Automaton:
     Takes one object, each key once, with every field that :func:`_header`
     checks before ``transitions``, that loads without error.
     """
-    doc, transitions, idx, sep = {}, None, _past(s, 0, "{"), ""
+    doc, fields, idx, sep = {}, None, _past(s, 0, "{"), ""
     while not s.startswith("}", idx := _skip(s, idx).end()):
         key, idx = json.decoder.scanstring(s, _past(s, _past(s, idx, sep), '"'))
         idx, sep = _skip(s, _past(s, idx, ":")).end(), ","
@@ -509,14 +510,13 @@ def _decode_streamed(s: str, where: str) -> Automaton:
             raise ValueError("repeated key")
         if key == "transitions" and s.startswith("[", idx):
             doc[key] = []  # a list, as the header check requires; the rows go below
-            fields, state_of, event_of = _header(doc, where)
-            transitions = {}
-            s, idx = _decode_rows(s, idx, transitions, state_of, event_of)
+            fields = _header(doc, where)
+            s, idx = _decode_rows(s, idx, fields["transitions"])
         else:
             doc[key], idx = _scan(s, idx)
-    if transitions is None or _skip(s, idx + 1).end() != len(s):
+    if fields is None or _skip(s, idx + 1).end() != len(s):
         raise ValueError("no rows, or data after the object")
-    return Automaton(transitions=transitions, **fields)
+    return Automaton(**fields)
 
 
 def load_automaton(path) -> Automaton:
@@ -543,14 +543,6 @@ def load_automaton(path) -> Automaton:
     return automaton_from_dict(doc, where=where)
 
 
-class JsonStrings(dict):
-    """``quoted[s]`` is ``json.dumps(s)``, encoded once, on first use, in C."""
-
-    def __missing__(self, s: str) -> str:
-        self[s] = text = encode_basestring_ascii(s)
-        return text
-
-
 def json_list(values: Iterable[str], depth: int) -> Iterator[str]:
     """A JSON list of rendered values, laid out as ``json.dumps(indent=2)`` lays out a
     list that opens on a line at nesting ``depth``: ``[]`` when empty, otherwise
@@ -564,19 +556,23 @@ def json_list(values: Iterable[str], depth: int) -> Iterator[str]:
 
 
 def save_automaton(a: Automaton, path) -> None:
-    """Write ``json.dumps(automaton_to_dict(a), indent=2)`` and a newline, a row at a time."""
-    q = JsonStrings()
-    events = [{"id": e, "controllable": c} for e, c in a.alphabet.entries]
-    edges = edges_of(a)
+    """Write ``a`` as ``json.dumps(doc, indent=2)`` and a newline would, a row at a time.
+
+    ``doc`` has ``name``, ``events`` (``id``, ``controllable``), ``states``, ``initial``,
+    ``marked`` and ``transitions``: ``from``, ``on``, ``to`` per edge, in ``out`` order.
+    """
+    states = list(map(encode_basestring_ascii, a.states))
+    events = list(map(encode_basestring_ascii, a.alphabet.events))
     with open(path, "w", encoding="utf-8") as fh:
         # The name and the few events, without the closing "\n}".
-        fh.write(json.dumps({"name": a.name, "events": events}, indent=2)[:-2])
+        fh.write(json.dumps({"name": a.name, "events": [
+            {"id": e, "controllable": c} for e, c in a.alphabet.entries]}, indent=2)[:-2])
         fh.write(',\n  "states": ')
-        fh.writelines(json_list(map(q.__getitem__, a.states), 1))
+        fh.writelines(json_list(states, 1))
         fh.write(f',\n  "initial": {json.dumps(a.initial)},\n  "marked": ')
-        fh.writelines(json_list(map(q.__getitem__, a.marked), 1))
+        fh.writelines(json_list(map(encode_basestring_ascii, a.marked), 1))
         fh.write(',\n  "transitions": ')
-        fh.writelines(json_list((f'{{\n      "from": {q[s]},\n      "on": {q[e]},\n'
-                                 f'      "to": {q[t]}\n    }}'
-                                 for s in a.states for e, t in edges(s)), 1))
+        fh.writelines(json_list((f'{{\n      "from": {s},\n      "on": {events[e]},\n'
+                                 f'      "to": {states[t]}\n    }}'
+                                 for s, row in zip(states, a.out) for e, t in pairs(row)), 1))
         fh.write("\n}\n")

@@ -79,7 +79,7 @@ def main():
 @click.option("--json", "as_json", is_flag=True, help="JSON verdict on stdout.")
 def cmd_validate(model, as_json):
     """Check an automaton file against the structural invariants."""
-    # The loader rejects, with exit 2, every defect that Automaton.validate() reports.
+    # The loader rejects, with exit 2, every structural defect of a model.
     _lazy.load_automaton(model)
     if as_json:
         _emit_json({"valid": True, "diagnostics": []})

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .automata import Alphabet, Automaton, InputError, empty_automaton, from_nodes
+from .automata import (Alphabet, Automaton, InputError, empty_automaton, from_lists, pairs,
+                       prober)
 
 
 class ComposeError(InputError):
@@ -14,93 +15,77 @@ class ComposeError(InputError):
 def merged_alphabet(automata: Sequence[Automaton]) -> Alphabet:
     """Union of alphabets in input order; flags must agree on shared events."""
     flags: dict[str, bool] = {}
-    order: list[str] = []
     for a in automata:
         for eid, ctrl in a.alphabet.entries:
-            if eid in flags:
-                if flags[eid] != ctrl:
-                    raise ComposeError(
-                        f"event {eid!r} is controllable in one component and "
-                        "uncontrollable in another"
-                    )
-            else:
-                flags[eid] = ctrl
-                order.append(eid)
-    return Alphabet(tuple((e, flags[e]) for e in order))
-
-
-def _declaring(automata: Sequence[Automaton], events) -> dict:
-    """``{event: [(index, transitions), ...]}`` of the components declaring each event."""
-    return {e: [(i, a.transitions) for i, a in enumerate(automata) if e in a.alphabet]
-            for e in events}
+            if flags.setdefault(eid, ctrl) != ctrl:
+                raise ComposeError(f"event {eid!r} is controllable in one component and "
+                                   "uncontrollable in another")
+    return Alphabet(tuple(flags.items()))
 
 
 def successors(automata: Sequence[Automaton], alphabet: Alphabet):
-    """The synchronous step rule on tuples of component states.
+    """The synchronous step rule on tuples of component state indices.
 
-    Returns ``step(cur)``, which lists ``(event, next)`` in ``alphabet``
-    order for every event that each component declaring it can take.  A
-    component that does not declare an event keeps its state.  Every event
-    of ``alphabet`` must be declared by some component (ValueError if not).
-
-    Each event is owned by the first component that declares it.  A step walks
-    each owner's out-edges at ``cur`` and probes only the other components that
-    declare the event, so it costs the enabled edges, not ``len(alphabet)``.  Each
-    owner's events must form one block of ``alphabet``, owners in component order
-    (ValueError if not), as in :func:`merged_alphabet` and a plant alphabet with the plant first.
+    Returns ``step(cur)``, which lists ``(event rank, next)`` in ``alphabet``
+    order for every event that each component declaring it can take; the
+    others keep their state.  Each event is owned by the first component that
+    declares it: a step walks each owner's out-edges at ``cur`` and probes the
+    other declaring components, so it costs the enabled edges.  ValueError
+    unless every event has an owner and each owner's events form one block of
+    ``alphabet`` in its own order, owners in component order, as in
+    :func:`merged_alphabet` and a plant alphabet with the plant first.
     """
-    # The out-edge index lives for this call only; nothing is cached on the automata.
-    declaring = _declaring(automata, alphabet.events)
-    for e, d in declaring.items():
+    declaring = [[i for i, a in enumerate(automata) if e in a.alphabet] for e in alphabet.events]
+    for e, d in zip(alphabet.events, declaring):
         if not d:
             raise ValueError(f"no component declares the event {e!r}")
-    owner = {e: d[0][0] for e, d in declaring.items()}
-    if list(owner.values()) != sorted(owner.values()):
+    keys = [(d[0], automata[d[0]].alphabet.rank[e]) for e, d in zip(alphabet.events, declaring)]
+    if keys != sorted(keys):
         raise ValueError("the alphabet does not list each owner's events in one block")
-    index = []
-    for i in dict.fromkeys(owner.values()):
-        # The rank and the other declaring components of each event that i owns.
-        mine = {e: (k, declaring[e][1:]) for k, e in enumerate(alphabet.events) if owner[e] == i}
-        rows: dict = {}
-        unsorted = set()
-        for (q, e), t in automata[i].transitions.items():
-            if (m := mine.get(e)) is not None:
-                row = rows.setdefault(q, [])
-                if row and mine[row[-1][0]][0] > m[0]:
-                    unsorted.add(q)
-                row.append((e, t, m[1]))
-        for q in unsorted:
-            rows[q].sort(key=lambda edge: mine[edge[0]][0])
-        index.append((i, rows))
+    # Per owner i, by i's event rank: the event's rank in alphabet and the other
+    # declaring components with the event's rank in each, or None for an event
+    # that i does not own.
+    owned: dict = {}
+    probes = list(map(prober, automata))
+    for g, (i, k) in enumerate(keys):
+        owned.setdefault(i, [None] * len(automata[i].alphabet))[k] = (g, [
+            (j, probes[j], automata[j].alphabet.rank[alphabet.events[g]])
+            for j in declaring[g][1:]])
+    index = [(i, automata[i].out, mine) for i, mine in owned.items()]
 
     def step(cur):
         edges = []
-        for i, rows in index:
-            for e, t, rest in rows.get(cur[i], ()):
+        for i, out, mine in index:
+            for e, t in pairs(out[cur[i]]):
+                if (m := mine[e]) is None:
+                    continue
+                g, rest = m
                 nxt = list(cur)
                 nxt[i] = t
-                for j, trans in rest:
-                    t = trans.get((cur[j], e))
-                    if t is None:
+                for j, probe, k in rest:
+                    if (t := probe(cur[j], k)) is None:
                         break
                     nxt[j] = t
                 else:
-                    edges.append((e, tuple(nxt)))
+                    edges.append((g, tuple(nxt)))
         return edges
 
     return step
 
 
 def fired(automata: Sequence[Automaton], events):
-    """``go(cur, e)``: the tuple after ``e`` fires at ``cur``, or None if ``e`` is disabled."""
+    """``go(cur, e)``: the tuple after the event named ``e`` fires at ``cur``, or None."""
     # Only the components that declare ``e`` are walked.
-    table = _declaring(automata, events)
+    probes = list(map(prober, automata))
+    table = {e: [(i, probes[i], a.alphabet.rank[e]) for i, a in enumerate(automata)
+                 if e in a.alphabet] for e in events}
+    # An event outside ``events`` is disabled, as if by a first component without it.
+    disabled = ((0, probes[0], None),)
 
     def go(cur, e):
         nxt = list(cur)
-        # An event outside ``events`` is disabled, as if by an empty first component.
-        for i, trans in table.get(e, ((0, {}),)):
-            if (t := trans.get((cur[i], e))) is None:
+        for i, probe, k in table.get(e, disabled):
+            if (t := probe(cur[i], k)) is None:
                 return None
             nxt[i] = t
         return tuple(nxt)
@@ -110,13 +95,13 @@ def fired(automata: Sequence[Automaton], events):
 
 def all_marked(automata: Sequence[Automaton], cur) -> bool:
     """Is the tuple of component states marked, i.e. marked in every component?"""
-    return all(a.is_marked(x) for a, x in zip(automata, cur))
+    return all(x in a.marked_ids for a, x in zip(automata, cur))
 
 
-def pairs(flat):
-    """The ``(event, target)`` pairs of a flat out-edge list ``[e0, t0, e1, t1, ...]``."""
-    it = iter(flat)
-    return zip(it, it)
+def joined(automata: Sequence[Automaton], delimiter: str):
+    """``name(node)``: the component state names of a product node joined by ``delimiter``."""
+    names = [a.states for a in automata]
+    return lambda node: delimiter.join(map(tuple.__getitem__, names, node))
 
 
 def product(automata: Sequence[Automaton], alphabet: Alphabet):
@@ -125,14 +110,14 @@ def product(automata: Sequence[Automaton], alphabet: Alphabet):
     Shared events synchronize and private ones interleave; ``alphabet`` fixes
     the event order and so the breadth-first order of the product states.
     Every component needs an initial state.  Returns ``(nodes, parent,
-    succ)``: the tuple of component states of each node, the list of parent
-    pointers (``(i, event)`` per node, None for node 0) that
+    succ)``: the tuple of component state indices of each node, the list of
+    parent pointers (``(i, event)`` per node, None for node 0) that
     :func:`~desctl.automata.path_to` follows, and the out-edges of each node
-    as one flat list ``[event, j, event, j, ...]`` in alphabet order, read
-    in pairs by :func:`pairs`.
+    as one flat list ``[event, j, event, j, ...]`` in alphabet order, events
+    by rank in ``alphabet``.
     """
     step = successors(automata, alphabet)
-    nodes, parent, succ = [tuple(a.initial for a in automata)], [None], []
+    nodes, parent, succ = [tuple(a.start for a in automata)], [None], []
     ids = {nodes[0]: 0}
     for i, node in enumerate(nodes):  # the queue; nodes past i are discovered, not expanded
         edges = []
@@ -176,6 +161,5 @@ def parallel(automata: Sequence[Automaton], delimiter: str = "|") -> Automaton:
                 )
     nodes, parent, succ = product(automata, alphabet)
     del parent  # only witnesses need it; freed before the states are named
-    return from_nodes(name, alphabet, dict(enumerate(map(delimiter.join, nodes))),
-                      lambda i: pairs(succ[i]), 0,
-                      (i for i, q in enumerate(nodes) if all_marked(automata, q)))
+    return from_lists(name, alphabet, map(joined(automata, delimiter), nodes), succ, 0,
+                      [i for i, q in enumerate(nodes) if all_marked(automata, q)])

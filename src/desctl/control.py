@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .automata import (Automaton, InputError, empty_automaton, explore, from_nodes, path_to,
-                       predecessors, reachable)
-from .compose import all_marked, free_delimiter, pairs, parallel, product, successors
+from .automata import (Automaton, InputError, empty_automaton, explore, from_nodes, pairs,
+                       path_to, predecessors, prober, reachable, spelled)
+from .compose import all_marked, free_delimiter, joined, parallel, product, successors
 
 
 class AlphabetError(InputError):
@@ -63,13 +63,18 @@ def closed_loop(plant: Automaton, sups: Sequence[Automaton]) -> Automaton:
 
 
 def _first_disabled(plant: Automaton, sup: Automaton):
-    """``first(qp, qs)``: the first uncontrollable event, in plant order, that the
+    """``first(qp, qs)``: the first uncontrollable event, as its plant rank, that the
     plant enables at ``qp`` and ``sup`` declares but disables at ``qs``, or None."""
-    guarded = [e for e in plant.alphabet.uncontrollable if e in sup.alphabet]
+    # Each uncontrollable plant event that sup declares, by plant rank: its sup rank.
+    guarded = {plant.alphabet.rank[e]: sup.alphabet.rank[e]
+               for e in plant.alphabet.uncontrollable if e in sup.alphabet}
+    if not guarded:
+        return lambda qp, qs: None
+    probe = prober(sup)
 
     def first(qp, qs):
-        for e in guarded:
-            if (qp, e) in plant.transitions and (qs, e) not in sup.transitions:
+        for e in plant.out[qp][::2]:
+            if e in guarded and probe(qs, guarded[e]) is None:
                 return e
         return None
 
@@ -86,7 +91,7 @@ def check_controllability(plant: Automaton, sup: Automaton) -> ControllabilityRe
     order in the plant alphabet.
     """
     _require_subalphabet(plant, sup)
-    if plant.initial is None or sup.initial is None:
+    if plant.start is None or sup.start is None:
         return ControllabilityReport(True, None, 0)
     step = successors([plant, sup], plant.alphabet)
     first = _first_disabled(plant, sup)
@@ -96,9 +101,10 @@ def check_controllability(plant: Automaton, sup: Automaton) -> ControllabilityRe
         e = first(*node)
         return step(node) if e is None else [(e, None)]
 
-    order, _, witness = explore((plant.initial, sup.initial), check)
+    order, _, witness = explore((plant.start, sup.start), check)
     if witness is None:
         return ControllabilityReport(True, None, len(order))
+    witness = spelled(plant.alphabet.events, witness)
     return ControllabilityReport(False, (witness[:-1], witness[-1]), len(order))
 
 
@@ -113,14 +119,15 @@ def check_nonconflicting(plant: Automaton, sups: Sequence[Automaton]) -> Conflic
     components = [plant] + list(sups)
     for s in components[1:]:
         _require_subalphabet(plant, s)
-    if any(a.initial is None for a in components):
+    if any(a.start is None for a in components):
         return ConflictReport(False, (), 0)
     nodes, parent, succ = product(components, plant.alphabet)
     marked = (i for i, q in enumerate(nodes) if all_marked(components, q))
-    coreach = reachable(predecessors(range(len(nodes)), lambda i: pairs(succ[i])), marked)
+    coreach = reachable(predecessors(succ).__getitem__, marked)
     for i in range(len(nodes)):  # breadth-first order, so i + 1 nodes are checked
         if i not in coreach:
-            return ConflictReport(False, path_to(parent, i), i + 1)
+            return ConflictReport(False, spelled(plant.alphabet.events, path_to(parent, i)),
+                                  i + 1)
     return ConflictReport(True, None, len(nodes))
 
 
@@ -137,36 +144,33 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     """
     _require_subalphabet(plant, spec)
     name = f"{plant.name}|{spec.name}"
-    if plant.initial is None or spec.initial is None:
+    if plant.start is None or spec.start is None:
         return empty_automaton(name, plant.alphabet)
 
     nodes, _, succ = product([plant, spec], plant.alphabet)
-    uncontrollable = set(plant.alphabet.uncontrollable)
     marked = {i for i, q in enumerate(nodes) if all_marked([plant, spec], q)}
-    preds = predecessors(range(len(nodes)), lambda i: pairs(succ[i]))
-    upreds = predecessors(range(len(nodes)),
-                          lambda i: [(e, j) for e, j in pairs(succ[i]) if e in uncontrollable])
+    preds = predecessors(succ)
+    upreds = predecessors(succ, set(map(plant.alphabet.rank.get, plant.alphabet.uncontrollable)))
     good = set(range(len(nodes)))
     first = _first_disabled(plant, spec)
     removed = {i for i, q in enumerate(nodes) if first(*q) is not None}
     while True:
         # The attractor stops at states deleted in earlier rounds: their
         # uncontrollable predecessors were deleted with them.
-        removed = reachable(upreds, removed) & good
+        removed = reachable(upreds.__getitem__, removed) & good
         good -= removed
         for q in removed:  # a deleted state leaves the graph
-            preds.pop(q, None)
-            upreds.pop(q, None)
+            preds[q] = upreds[q] = ()
         # Blocking: no marked state is reachable within good.
-        removed = good - reachable(preds, marked & good)
+        removed = good - reachable(preds.__getitem__, marked & good)
         if not removed:
             break
     del preds, upreds
     if 0 not in good:
         return empty_automaton(name, plant.alphabet)
-    reach = set(explore(0, lambda i: [(e, j) for e, j in pairs(succ[i]) if j in good])[0])
-    delimiter = "|"
-    if len({delimiter.join(nodes[i]) for i in reach}) < len(reach):
-        delimiter = free_delimiter([plant, spec])
-    return from_nodes(name, plant.alphabet, {i: delimiter.join(nodes[i]) for i in sorted(reach)},
+    reach = reachable(lambda i: good.intersection(succ[i][1::2]), [0])
+    name_of = joined([plant, spec], "|")
+    if len({name_of(nodes[i]) for i in reach}) < len(reach):
+        name_of = joined([plant, spec], free_delimiter([plant, spec]))
+    return from_nodes(name, plant.alphabet, {i: name_of(nodes[i]) for i in sorted(reach)},
                       lambda i: pairs(succ[i]), 0, sorted(reach & marked))

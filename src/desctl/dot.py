@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .automata import Automaton, edges_of
+from .automata import Automaton, pairs
 
 
 def _quote(s: str) -> str:
@@ -19,10 +19,11 @@ def export_dot(a: Automaton) -> str:
         lines.append(f"  {_quote(q)} [shape={shape}];")
     if a.initial is not None:
         lines.append(f"  __init -> {_quote(a.initial)};")
-    edges = edges_of(a)
-    for q in a.states:
-        for e, t in edges(q):
-            style = "" if a.alphabet.is_controllable(e) else ", style=dashed"
-            lines.append(f"  {_quote(q)} -> {_quote(t)} [label={_quote(e)}{style}];")
+    # Each name and each event's attributes are quoted once, not once per edge.
+    names = list(map(_quote, a.states))
+    labels = [f"[label={_quote(e)}{'' if c else ', style=dashed'}]" for e, c in a.alphabet.entries]
+    for q, row in zip(names, a.out):
+        for e, t in pairs(row):
+            lines.append(f"  {q} -> {names[t]} {labels[e]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,12 +18,12 @@ and its marked language is the expression's denotation.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import (Alphabet, Automaton, InputError, edges_of, empty_automaton, explore,
-                       from_nodes)
+from .automata import (Alphabet, Automaton, InputError, empty_automaton, explore, from_lists,
+                       from_nodes, pairs, prober, spelled)
 
 RESERVED = {"pc"}
 # Groups nest at most this deep.  The parser and the passes over the AST
@@ -217,12 +217,12 @@ def parse(text: str) -> Expr:
 
 # -- position automaton ---------------------------------------------------
 
-def _positions(ast: Expr, alphabet: Alphabet, events: list[str],
+def _positions(ast: Expr, alphabet: Alphabet, events: list[int],
                follow: list[set[int]]) -> tuple[bool, list[int], list[int]]:
     """Glushkov's ``(nullable, first, last)`` of ``ast``; fills ``follow``.
 
-    Event leaves become positions left to right, each appending its event to
-    ``events`` and the set of positions that may come next to ``follow``.
+    Event leaves become positions left to right, each appending its event's rank
+    to ``events`` and the set of positions that may come next to ``follow``.
     The first leaf outside ``alphabet`` raises UnknownEventError.
     """
     if isinstance(ast, Epsilon):
@@ -230,7 +230,7 @@ def _positions(ast: Expr, alphabet: Alphabet, events: list[str],
     if isinstance(ast, Sym):
         if ast.event not in alphabet:
             raise UnknownEventError(ast.event)
-        events.append(ast.event)
+        events.append(alphabet.rank[ast.event])
         follow.append(set())
         return False, [len(events) - 1], [len(events) - 1]
     if isinstance(ast, Concat):
@@ -265,19 +265,18 @@ def _positions(ast: Expr, alphabet: Alphabet, events: list[str],
 
 def _subset_construct(ast: Expr, alphabet: Alphabet) -> Automaton:
     # Position 0 is the start; it is last iff the expression is nullable.
-    events, follow = [""], [set()]
+    events, follow = [-1], [set()]
     nullable, first, last = _positions(ast, alphabet, events, follow)
     follow[0].update(first)
     last = frozenset(last + [0] if nullable else last)
-    rank = {e: k for k, e in enumerate(alphabet.events)}
-    succ: dict[frozenset[int], list[tuple[str, frozenset[int]]]] = {}
+    succ: dict[frozenset[int], list[tuple[int, frozenset[int]]]] = {}
 
     def step(subset):
-        targets: dict[str, set[int]] = defaultdict(set)
+        targets: dict[int, set[int]] = defaultdict(set)
         for p in subset:
             for q in follow[p]:
                 targets[events[q]].add(q)
-        succ[subset] = [(e, frozenset(targets[e])) for e in sorted(targets, key=rank.__getitem__)]
+        succ[subset] = [(e, frozenset(targets[e])) for e in sorted(targets)]
         return succ[subset]
 
     order, _, _ = explore(frozenset({0}), step)
@@ -289,25 +288,23 @@ def minimize(a: Automaton) -> Automaton:
     """Minimal DFA with the same generated and marked languages.
 
     Hopcroft's partition refinement (1971) for partial transition maps
-    (Valmari & Lehtinen, 2008), O(T log N) on the N reachable states and
-    their T transitions.  "Undefined" is never a block, so the generated
+    (Valmari & Lehtinen, 2008), O(T log N) on the N states and their T
+    transitions.  "Undefined" is never a block, so the generated
     language is preserved exactly and no sink state is ever introduced.
     Merged states are named by joining their members with '+' in state order.
     """
-    if a.initial is None or not a.has_state(a.initial):
+    if a.start is None:
         return empty_automaton(a.name, a.alphabet)
-    edges = edges_of(a)
-    reach = set(explore(a.initial, edges)[0])
-    states = [q for q in a.states if q in reach]
-    n = len(states)
-    ids = {q: i for i, q in enumerate(states)}
-    event_ids = {e: k for k, e in enumerate(a.alphabet.events)}
-    # preds[t] packs each transition (p, e) -> t as event_id * n + p.
+    out, n = a.out, len(a.states)
+    # Unreachable states are refined too: a state's block depends only on its
+    # future, so they do not change the blocks of the reachable ones.
+    reach = sorted(explore(a.start, lambda q: pairs(out[q]))[0])
+    # preds[t] packs each transition (p, e) -> t as e * n + p.
     preds: list[list[int]] = [[] for _ in range(n)]
-    for p, q in enumerate(states):
-        for e, t in edges(q):
-            preds[ids[t]].append(event_ids[e] * n + p)
-    block = [0 if a.is_marked(q) else 1 for q in states]
+    for p, row in enumerate(out):
+        for e, t in pairs(row):
+            preds[t].append(e * n + p)
+    block = [0 if q in a.marked_ids else 1 for q in range(n)]
     parts = [{i for i, b in enumerate(block) if b == k} for k in (0, 1)]
     # With a partial map no initial block may be skipped: "undefined" must be
     # told apart from "defined into the other block".
@@ -336,14 +333,14 @@ def minimize(a: Automaton) -> Automaton:
                     block[p] = new
                 work.append(new)
     del preds, parts  # the bulk of the peak; freed before the result is built
-    members: dict[int, list[str]] = {}
-    for q, b in zip(states, block):  # state order fixes member and block order
-        members.setdefault(b, []).append(q)
+    members: dict[int, list[int]] = {}
+    for q in reach:  # state order fixes member and block order
+        members.setdefault(block[q], []).append(q)
     # Each block is represented by its first member; names join all members.
-    return from_nodes(
-        a.name, a.alphabet, {b: "+".join(qs) for b, qs in members.items()},
-        lambda b: [(e, block[ids[t]]) for e, t in edges(members[b][0])],
-        block[ids[a.initial]], (b for b, qs in members.items() if a.is_marked(qs[0])))
+    names = {b: "+".join(map(a.states.__getitem__, qs)) for b, qs in members.items()}
+    return from_nodes(a.name, a.alphabet, names,
+                      lambda b: [(e, block[t]) for e, t in pairs(out[members[b][0]])],
+                      block[a.start], (b for b, qs in members.items() if qs[0] in a.marked_ids))
 
 
 def compile(ast: Expr, alphabet: Alphabet, name: str = "spec") -> Automaton:
@@ -358,8 +355,8 @@ def compile(ast: Expr, alphabet: Alphabet, name: str = "spec") -> Automaton:
     # Every position reaches a last position, so every subset does too: the
     # subset automaton is already trim.
     dfa = minimize(_subset_construct(ast, alphabet))
-    return from_nodes(name, alphabet, {q: f"s{i}" for i, q in enumerate(dfa.states, 1)},
-                      edges_of(dfa), dfa.initial, dfa.marked)
+    return from_lists(name, alphabet, (f"s{i}" for i in range(1, len(dfa.states) + 1)),
+                      dfa.out, dfa.start, map(dfa.index.__getitem__, dfa.marked))
 
 
 def compile_text(text: str, alphabet: Alphabet, name: str = "spec") -> Automaton:
@@ -373,37 +370,31 @@ def equivalent(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str, ..
     four languages but not its counterpart), ties broken by a's alphabet
     order, then b's.  Pair states walk a's out-edges and check b by out-degree.
     """
-    if a.initial is None and b.initial is None:
+    if a.start is None and b.start is None:
         return True, None
-    if a.initial is None or b.initial is None:
+    if a.start is None or b.start is None:
         return False, ()
-    events = list(a.alphabet.events)
-    events += [e for e in b.alphabet.events if e not in a.alphabet]
-    out = edges_of(a)
-    flags = b.alphabet._flags
-    # b's out-degree on its own alphabet: a pair state whose a-edges all
-    # match in b, as many as b has, has no event defined on one side only.
-    degree = Counter(q for q, e in b.transitions if e in flags)
+    events = [*a.alphabet.events, *(e for e in b.alphabet.events if e not in a.alphabet)]
+    # The rank in b of each of ``events``, where a's events keep their own ranks.
+    to_b, probe = list(map(b.alphabet.rank.get, events)), prober(b)
 
     def step(node):
         qa, qb = node
-        if a.is_marked(qa) != b.is_marked(qb):
+        if (qa in a.marked_ids) != (qb in b.marked_ids):
             return None
         edges = []
-        for e, ta in out(qa):
-            tb = b.transitions.get((qb, e)) if e in flags else None
-            if tb is None:
+        for e, ta in pairs(a.out[qa]):
+            if (tb := probe(qb, to_b[e])) is None:
                 break
             edges.append((e, (ta, tb)))
         else:
-            if len(edges) == degree[qb]:
+            # As many edges as b has there: no event is defined on one side only.
+            if 2 * len(edges) == len(b.out[qb]):
                 return edges
         # Some event is defined on one side only; the search stops at the
         # first in ``events`` order, so this scan runs once per call.
-        for e in events:
-            in_a = e in a.alphabet and (qa, e) in a.transitions
-            if in_a != (e in flags and (qb, e) in b.transitions):
-                return [(e, None)]
+        mine, theirs = set(a.out[qa][::2]), set(b.out[qb][::2])
+        return [next((e, None) for e in range(len(events)) if (e in mine) != (to_b[e] in theirs))]
 
-    _, _, witness = explore((a.initial, b.initial), step)
-    return witness is None, witness
+    _, _, witness = explore((a.start, b.start), step)
+    return witness is None, witness and spelled(events, witness)

@@ -85,9 +85,12 @@ def initial_configuration(plant: Automaton, sups: Sequence[Automaton]) -> Config
     return Configuration(plant.initial, tuple(s.initial for s in sup_list))
 
 
-def _configuration(cur: tuple[str, ...]) -> Configuration:
+def _configurations(components: list[Automaton]) -> Callable:
+    """``configuration(cur)``: the Configuration that names a tuple of component state indices."""
+    plant, sups = components[0].states, [s.states for s in components[1:]]
     # What the namedtuple's generated __new__ does, without the Python frame.
-    return tuple.__new__(Configuration, (cur[0], cur[1:]))
+    return lambda cur: tuple.__new__(
+        Configuration, (plant[cur[0]], tuple(map(tuple.__getitem__, sups, cur[1:]))))
 
 
 def _count_completions(trace) -> dict[str, int]:
@@ -101,10 +104,11 @@ def run(plant: Automaton, sups: Sequence[Automaton],
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     sup_list = list(sups)
-    cfg = initial_configuration(plant, sup_list)
+    initial_configuration(plant, sup_list)
     components = [plant, *sup_list]
     step = successors(components, plant.alphabet)
-    cur = (cfg.plant_state, *cfg.sup_states)
+    events, configuration = plant.alphabet.events, _configurations(components)
+    cur = tuple(a.start for a in components)
     trace: list[tuple[str, Configuration]] = []
     blocked_event: Optional[str] = None
 
@@ -113,14 +117,14 @@ def run(plant: Automaton, sups: Sequence[Automaton],
             if e not in plant.alphabet:
                 raise ScriptError(f"scripted event {e!r} is not in the plant alphabet")
         requested = min(len(policy.events), max_steps)
-        go = fired(components, plant.alphabet.events)
+        go = fired(components, events)
         for e in policy.events[:requested]:
             nxt = go(cur, e)
             if nxt is None:
                 blocked_event = e
                 break
             cur = nxt
-            trace.append((e, _configuration(cur)))
+            trace.append((e, configuration(cur)))
     elif isinstance(policy, Random):
         rng = random.Random(policy.seed)
         requested = max_steps
@@ -137,10 +141,11 @@ def run(plant: Automaton, sups: Sequence[Automaton],
                 if not choices:
                     break
                 e, cur = choices[rng.randrange(len(choices))]
-                trace.append((e, _configuration(cur)))
+                trace.append((events[e], configuration(cur)))
                 continue
             if rows is False:
-                rows = seen[cur] = [(nxt, (e, _configuration(nxt))) for e, nxt in step(cur)]
+                rows = seen[cur] = [(nxt, (events[e], configuration(nxt)))
+                                    for e, nxt in step(cur)]
             cur, row = rows[rng.randrange(len(rows))]
             trace.append(row)
     elif isinstance(policy, Interactive):
@@ -152,7 +157,7 @@ def run(plant: Automaton, sups: Sequence[Automaton],
                 policy.write("deadlock: no enabled events")
                 break
             for i, (e, _) in enumerate(choices, start=1):
-                policy.write(f"  {i}. {e}")
+                policy.write(f"  {i}. {events[e]}")
             try:
                 line = policy.read("> ").strip()
             except EOFError:
@@ -160,9 +165,8 @@ def run(plant: Automaton, sups: Sequence[Automaton],
             if line == "quit":
                 break
             if line == "state":
-                policy.write(f"plant: {cur[0]}")
-                for s, q in zip(sup_list, cur[1:]):
-                    policy.write(f"{s.name}: {q}")
+                for who, a, q in zip(("plant", *(s.name for s in sup_list)), components, cur):
+                    policy.write(f"{who}: {a.states[q]}")
                 continue
             if line == "undo":
                 if trace:
@@ -180,7 +184,7 @@ def run(plant: Automaton, sups: Sequence[Automaton],
                 policy.write(f"choose 1..{len(choices)}, undo, state or quit")
                 continue
             e, cur = choices[idx - 1]
-            trace.append((e, _configuration(cur)))
+            trace.append((events[e], configuration(cur)))
             history.append(cur)
     else:
         raise TypeError(f"unknown policy {policy!r}")
@@ -201,16 +205,15 @@ def replay(plant: Automaton, sups: Sequence[Automaton], report: RunReport) -> bo
     """Re-fire the trace and confirm every recorded step, count and verdict."""
     sup_list = list(sups)
     try:
-        cfg = initial_configuration(plant, sup_list)
+        initial_configuration(plant, sup_list)
     except BadQueryError:
         return False
     components = [plant, *sup_list]
-    go = fired(components, plant.alphabet.events)
-    cur = (cfg.plant_state, *cfg.sup_states)
+    go, configuration = fired(components, plant.alphabet.events), _configurations(components)
+    cur = tuple(a.start for a in components)
     for e, recorded in report.trace:
         cur = go(cur, e)
-        # The fields that Configuration equality compares, without building one.
-        if cur is None or recorded.plant_state != cur[0] or recorded.sup_states != cur[1:]:
+        if cur is None or recorded != configuration(cur):
             return False
     # A deadlock leaves no plant event enabled; a blocked event is one left disabled.
     disabled = [e for e in plant.alphabet.events if go(cur, e) is None]

@@ -216,14 +216,14 @@ def random_run(plant: Automaton, sups, seed: int, max_steps: int) -> sim.RunRepo
     """``sim.run(plant, sups, Random(seed), max_steps)`` with nothing remembered.
 
     The same loop and draws, but ``step`` runs on every step, one
-    ``Configuration`` is built per step with its constructor, and the final
-    ``deadlocked`` rule steps the last state again.
+    ``Configuration`` is built per step with its constructor from the state
+    names, and the final ``deadlocked`` rule steps the last state again.
     """
     sup_list = list(sups)
-    cfg = sim.initial_configuration(plant, sup_list)
+    sim.initial_configuration(plant, sup_list)
     components = [plant, *sup_list]
     step = successors(components, plant.alphabet)
-    cur = (cfg.plant_state, *cfg.sup_states)
+    cur = tuple(a.start for a in components)
     trace = []
     rng = random.Random(seed)
     for _ in range(max_steps):
@@ -231,7 +231,8 @@ def random_run(plant: Automaton, sups, seed: int, max_steps: int) -> sim.RunRepo
         if not choices:
             break
         e, cur = choices[rng.randrange(len(choices))]
-        trace.append((e, sim.Configuration(cur[0], cur[1:])))
+        names = [a.states[q] for a, q in zip(components, cur)]
+        trace.append((plant.alphabet.events[e], sim.Configuration(names[0], tuple(names[1:]))))
     steps = len(trace)
     return sim.RunReport(
         trace=tuple(trace),
@@ -270,6 +271,54 @@ def nerode_classes(a: Automaton) -> set[frozenset[str]]:
         future = tuple((walk_generated(from_q, w), walk_marked(from_q, w)) for w in words)
         classes.setdefault(future, set()).add(q)
     return {frozenset(c) for c in classes.values()}
+
+
+# -- model files by their documented shape ---------------------------------
+
+def automaton_to_dict(a: Automaton) -> dict:
+    """The model file of ``a`` as a JSON document: ``json.dumps(doc, indent=2)`` and
+    a newline is what ``save_automaton`` must write.  The rows are found by
+    probing every event of the alphabet at every state, in that order."""
+    return {
+        "name": a.name,
+        "events": [{"id": e, "controllable": c} for e, c in a.alphabet.entries],
+        "states": list(a.states),
+        "initial": a.initial,
+        "marked": list(a.marked),
+        "transitions": [{"from": q, "on": e, "to": a.transitions[q, e]}
+                        for q in a.states for e in a.alphabet.events
+                        if (q, e) in a.transitions],
+    }
+
+
+def validate(a: Automaton) -> list[str]:
+    """Diagnostics for every violated structural invariant; empty list iff valid.
+
+    The constructor rejects each of them, so on a built automaton this is the
+    reference that nothing got through.
+    """
+    diags: list[str] = []
+    states: set[str] = set()
+    for q in a.states:
+        if q in states:
+            diags.append(f"duplicate state name {q!r}")
+        states.add(q)
+    if a.initial is None:
+        if a.states:
+            diags.append("no initial state in a nonempty automaton")
+    elif a.initial not in states:
+        diags.append(f"initial state {a.initial!r} not in states")
+    for q in a.marked:
+        if q not in states:
+            diags.append(f"marked state {q!r} not in states")
+    for (q, e), t in a.transitions.items():
+        if q not in states:
+            diags.append(f"transition ({q!r}, {e!r}): unknown source state")
+        if t not in states:
+            diags.append(f"transition ({q!r}, {e!r}) -> {t!r}: unknown target state")
+        if e not in a.alphabet:
+            diags.append(f"transition ({q!r}, {e!r}): event not in alphabet")
+    return diags
 
 
 # -- model files decoded as one document -----------------------------------

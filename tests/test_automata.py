@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 from desctl import automata, fms
 from desctl.automata import (Alphabet, Automaton, BadQueryError,
                              ModelFormatError, automaton_from_dict,
-                             automaton_to_dict, edges_of, empty_automaton,
-                             explore, from_nodes, is_sublanguage,
-                             load_automaton, save_automaton)
+                             empty_automaton, explore, from_nodes,
+                             is_sublanguage, load_automaton, pairs,
+                             save_automaton)
 from desctl.control import check_nonconflicting
-from oracles import (all_strings, load_outcome, load_whole, random_automaton,
-                     walk_generated, walk_marked, weird_automaton)
+from oracles import (all_strings, automaton_to_dict, load_outcome, load_whole,
+                     random_automaton, validate, walk_generated, walk_marked,
+                     weird_automaton)
 
 
 def chain(marked=("q1",)):
@@ -29,27 +31,32 @@ def chain(marked=("q1",)):
     )
 
 
+def assert_rejected(message: str, *fields) -> None:
+    """The constructor raises ModelFormatError ``message``, located as it says."""
+    with pytest.raises(ModelFormatError) as err:
+        Automaton(*fields)
+    assert str(err.value) == message
+    assert err.value.where == message.split(": ", 1)[0]
+
+
 class TestValidate:
     def test_conveyor_is_valid(self):
-        assert fms.build("C1").validate() == []
+        assert validate(fms.build("C1")) == []
 
     def test_initial_not_in_states(self):
-        a = Automaton("bad", Alphabet((("a", True),)), ("q1",), {}, "nope", ())
-        diags = a.validate()
-        assert len(diags) == 1
-        assert "initial" in diags[0]
+        assert_rejected("initial: initial state 'nope' not in states",
+                        "bad", Alphabet((("a", True),)), ("q1",), {}, "nope", ())
 
     def test_marked_not_in_states(self):
-        a = Automaton("bad", Alphabet((("a", True),)), ("q1",), {}, "q1", ("zz",))
-        assert any("marked" in d for d in a.validate())
+        assert_rejected("marked[0]: unknown state 'zz'",
+                        "bad", Alphabet((("a", True),)), ("q1",), {}, "q1", ("zz",))
 
     def test_transition_event_outside_alphabet(self):
-        a = Automaton("bad", Alphabet((("a", True),)), ("q1",),
-                      {("q1", "b"): "q1"}, "q1", ())
-        assert any("alphabet" in d for d in a.validate())
+        assert_rejected("transitions[0]: unknown event 'b'", "bad", Alphabet((("a", True),)),
+                        ("q1",), {("q1", "b"): "q1"}, "q1", ())
 
     def test_empty_automaton_is_valid(self):
-        assert empty_automaton("e", Alphabet(())).validate() == []
+        assert validate(empty_automaton("e", Alphabet(()))) == []
 
 
 class TestAlphabet:
@@ -95,28 +102,17 @@ class TestEdgesOf:
         a = Automaton("a", Alphabet(tuple((e, True) for e in events)), ("q", "r"),
                       {("q", "a"): "r", ("r", "b"): "q", ("q", "c"): "q", ("q", "b"): "r"},
                       "q", ("q",))
-        edges = edges_of(a)
-        assert edges("q") == [("b", "r"), ("c", "q"), ("a", "r")]
-        assert edges("r") == [("b", "q")]
-
-    def test_skips_events_outside_the_alphabet(self):
-        a = Automaton("a", Alphabet((("x", True),)), ("q",),
-                      {("q", "y"): "q", ("q", "x"): "q"}, "q", ("q",))
-        assert edges_of(a)("q") == [("x", "q")]
-
-    def test_lists_a_source_outside_the_states(self):
-        a = Automaton("a", Alphabet((("x", True),)), ("q",),
-                      {("ghost", "x"): "q"}, "q", ("q",))
-        assert edges_of(a)("ghost") == [("x", "q")]
-        assert edges_of(a)("q") == []
+        assert a.out == [[0, 1, 1, 0, 2, 1], [0, 0]]
+        assert list(a.transitions.items()) == [
+            (("q", "b"), "r"), (("q", "c"), "q"), (("q", "a"), "r"), (("r", "b"), "q")]
 
     def test_from_nodes_drops_edges_into_unnamed_nodes(self):
-        succ = [[("x", 1), ("y", 2)], [("x", 0)], [("x", 0)]]
+        succ = [[(0, 1), (1, 2)], [(0, 0)], [(0, 0)]]
         a = from_nodes("a", Alphabet((("x", True), ("y", True))), {0: "n0", 1: "n1"},
                        succ.__getitem__, 0, [1])
         assert a.states == ("n0", "n1") and a.marked == ("n1",)
         assert a.transitions == {("n0", "x"): "n1", ("n1", "x"): "n0"}
-        assert a.validate() == []
+        assert validate(a) == []
 
 
 class TestReachability:
@@ -141,36 +137,30 @@ class TestReachability:
             t = a.trim()
             assert t.trim().states == t.states
             if not t.is_empty:
-                assert set(explore(t.initial, edges_of(t))[0]) == set(t.states)
+                assert set(explore(t.start, lambda q: pairs(t.out[q]))[0]) == set(
+                    range(len(t.states)))
                 assert check_nonconflicting(t, ()).nonconflicting
 
-    # Automata that validate() flags, with their results written out: forward
-    # reach passes through a state outside ``states`` and coreach does not,
-    # and a transition on an event outside the alphabet moves neither search
-    # and is dropped, like every transition that the searches do not follow.
-    @pytest.mark.parametrize("states, transitions, initial, trimmed", [
+    # Automata with undeclared states or an event outside the alphabet: the
+    # constructor names the first defect, located as in a model file.
+    @pytest.mark.parametrize("states, transitions, initial, message", [
         pytest.param(("s0", "s1"), {("s0", "a"): "s1", ("ghost", "b"): "s0"}, "s0",
-                     (("s0", "s1"), {("s0", "a"): "s1"}, "s0", ("s1",)),
-                     id="undeclared-source-unreached"),
+                     "transitions[1]: unknown state 'ghost'", id="undeclared-source-unreached"),
         pytest.param(("s0", "s1"), {("s0", "a"): "ghost", ("ghost", "b"): "s1",
                                     ("s1", "a"): "s0"}, "s0",
-                     ((), {}, None, ()), id="undeclared-source-reached"),
+                     "transitions[0]: unknown state 'ghost'", id="undeclared-source-reached"),
         pytest.param(("s0", "s1"), {("s0", "a"): "s1", ("s1", "b"): "ghost"}, "s0",
-                     (("s0", "s1"), {("s0", "a"): "s1"}, "s0", ("s1",)),
-                     id="undeclared-target"),
+                     "transitions[1]: unknown state 'ghost'", id="undeclared-target"),
         pytest.param(("s0", "s1", "s2"), {("s0", "a"): "s1", ("s1", "x"): "s0",
                                           ("s0", "x"): "s2", ("s2", "b"): "s1"}, "s0",
-                     (("s0", "s1"), {("s0", "a"): "s1"}, "s0", ("s1",)),
-                     id="event-outside-alphabet"),
+                     "transitions[1]: unknown event 'x'", id="event-outside-alphabet"),
         pytest.param(("s0", "s1"), {("ghost", "a"): "s0", ("s0", "a"): "s1"}, "ghost",
-                     ((), {}, None, ()), id="initial-outside-states"),
+                     "initial: initial state 'ghost' not in states",
+                     id="initial-outside-states"),
     ])
-    def test_invalid_in_memory_automata(self, states, transitions, initial, trimmed):
-        a = Automaton("m", Alphabet((("a", True), ("b", True))), states, transitions,
-                      initial, ("s1",))
-        assert a.validate()
-        t = a.trim()
-        assert (t.states, t.transitions, t.initial, t.marked) == trimmed
+    def test_invalid_in_memory_automata(self, states, transitions, initial, message):
+        assert_rejected(message, "m", Alphabet((("a", True), ("b", True))), states,
+                        transitions, initial, ("s1",))
 
     def test_trim_nonblocking_when_nonempty(self):
         rng = random.Random(11)
@@ -321,13 +311,15 @@ SLICES = (1, 64, 1 << 20)
 
 
 def layouts(doc: dict, rng) -> list[str]:
-    """Texts of ``doc``: save_automaton's layout, compact, unescaped, keys shuffled,
-    ``transitions`` first, header keys repeated before and after the rows, extra
-    keys after them, whitespace and then data after the object."""
+    """Texts of ``doc``: save_automaton's layout, rows shuffled, compact, unescaped,
+    keys shuffled, ``transitions`` first, header keys repeated before and after the
+    rows, extra keys after them, whitespace and then data after the object."""
     keys = list(doc)
     rng.shuffle(keys)
+    rows = rng.sample(doc["transitions"], len(doc["transitions"]))
     text = json.dumps(doc, indent=2)
-    return [text + "\n", json.dumps(doc), json.dumps(doc, indent=2, ensure_ascii=False),
+    return [text + "\n", json.dumps({**doc, "transitions": rows}, indent=2),
+            json.dumps(doc), json.dumps(doc, indent=2, ensure_ascii=False),
             json.dumps({k: doc[k] for k in keys}, indent=2),
             json.dumps({k: doc[k] for k in sorted(doc, key=lambda k: k != "transitions")},
                        indent=2),
@@ -374,6 +366,35 @@ def test_saved_models_decode_a_slice_at_a_time(tmp_path, monkeypatch):
             monkeypatch.setattr(automata, "_SLICE_CHARS", chars)
             b = automata._decode_streamed(text, "m.json")
             assert (b, list(b.transitions.items())) == (a, list(a.transitions.items()))
+
+
+def test_rows_in_any_order_load_in_the_canonical_order(tmp_path, monkeypatch):
+    # A file may list its rows in any order; the loaded edges, their view and
+    # the saved file follow state order and then alphabet order, whichever way
+    # the file is decoded.
+    rng = random.Random(23)
+    models = [random_automaton(rng, ["c", "a", "b"], 8) for _ in range(20)]
+    models += [weird_automaton(rng), fms.build_total()]
+    for a in models:
+        save_automaton(a, tmp_path / "canonical.json")
+        canonical = (tmp_path / "canonical.json").read_text(encoding="utf-8")
+        doc = json.loads(canonical)
+        rows = [((r["from"], r["on"]), r["to"]) for r in doc["transitions"]]
+        doc["transitions"] = rng.sample(doc["transitions"], len(rows))
+        (tmp_path / "shuffled.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        for chars in SLICES:
+            monkeypatch.setattr(automata, "_SLICE_CHARS", chars)
+            for load in (load_whole, load_automaton):
+                b = load(tmp_path / "shuffled.json")
+                assert list(b.transitions.items()) == rows and b.out == a.out
+                save_automaton(b, tmp_path / "again.json")
+                assert (tmp_path / "again.json").read_text(encoding="utf-8") == canonical
+    with pytest.raises(TypeError):
+        b.transitions[rows[0][0]] = rows[0][1]
+    # Re-flagging the alphabet keeps the names, so the edges are kept as they are.
+    flipped = replace(b, alphabet=b.alphabet.reflagged(b.alphabet.controllable))
+    assert flipped.alphabet != b.alphabet
+    assert flipped.out is b.out and list(flipped.transitions.items()) == rows
 
 
 def test_loader_on_broken_texts(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from desctl import fms
-from desctl.automata import Alphabet, Automaton, edges_of, explore, path_to
+from desctl.automata import Alphabet, Automaton, explore, path_to, spelled
 from desctl.compose import ComposeError, merged_alphabet, pairs, parallel, product, successors
 from desctl.espec import equivalent
 from oracles import (all_strings, explore_closed_loop, project, random_automaton,
@@ -48,7 +48,7 @@ def test_disjoint_alphabet_state_count_is_product():
         if a.is_empty or b.is_empty:
             continue
         p = parallel([a, b])
-        reach = [explore(x.initial, edges_of(x))[0] for x in (a, b)]
+        reach = [explore(x.start, lambda q, x=x: pairs(x.out[q]))[0] for x in (a, b)]
         assert len(p.states) == len(reach[0]) * len(reach[1])
 
 
@@ -125,7 +125,8 @@ def test_step_lists_events_in_alphabet_order_whatever_the_map_order():
     events = ("b", "c", "a")
     a = Automaton("a", Alphabet(tuple((e, True) for e in events)), ("q",),
                   {("q", e): "q" for e in reversed(events)}, "q", ("q",))
-    assert [e for e, _ in successors([a], a.alphabet)(("q",))] == list(events)
+    step = successors([a], a.alphabet)
+    assert [a.alphabet.events[e] for e, _ in step((a.start,))] == list(events)
 
 
 def test_successors_rejects_an_alphabet_out_of_owner_blocks():
@@ -135,8 +136,9 @@ def test_successors_rejects_an_alphabet_out_of_owner_blocks():
     b = Automaton("b", Alphabet((("y", True),)), ("b0",), {("b0", "y"): "b0"}, "b0", ("b0",))
     with pytest.raises(ValueError, match="one block"):
         successors([a, b], Alphabet((("x", True), ("y", True), ("z", True))))
-    step = successors([a, b], merged_alphabet([a, b]))
-    assert [e for e, _ in step(("a0", "b0"))] == ["x", "z", "y"]
+    merged = merged_alphabet([a, b])
+    step = successors([a, b], merged)
+    assert [merged.events[e] for e, _ in step((a.start, b.start))] == ["x", "z", "y"]
 
 
 def test_successors_rejects_an_event_that_no_component_declares():
@@ -146,15 +148,17 @@ def test_successors_rejects_an_event_that_no_component_declares():
 
 
 def test_product_matches_the_closed_loop_oracle():
-    # The numbering, the flat out-edge lists and the parent list against a
-    # search over raw transition dicts, on the cell and seeded modular systems.
+    # The numbering, the flat out-edge lists and the parent list, named, against
+    # a search over raw transition dicts, on the cell and seeded modular systems.
     rng = random.Random(17)
     cases = [(fms.build_total(), [fms.build_supervisor(1), fms.build_supervisor(2)])]
     cases += [random_modular_system(rng) for _ in range(300)]
     for plant, sups in cases:
         nodes, parent, succ = product([plant, *sups], plant.alphabet)
         _depth, edges, paths = explore_closed_loop(plant, sups, 10 ** 9)
+        events = plant.alphabet.events
+        nodes = [tuple(a.states[q] for a, q in zip([plant, *sups], node)) for node in nodes]
         assert nodes == list(paths)  # breadth-first discovery order
         for i, node in enumerate(nodes):
-            assert [(e, nodes[j]) for e, j in pairs(succ[i])] == edges.get(node, [])
-            assert path_to(parent, i) == paths[node]
+            assert [(events[e], nodes[j]) for e, j in pairs(succ[i])] == edges.get(node, [])
+            assert spelled(events, path_to(parent, i)) == paths[node]

@@ -1,7 +1,6 @@
 import random
 import time
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -12,7 +11,7 @@ from desctl.control import (AlphabetError, check_controllability, check_nonconfl
                             closed_loop, supcon)
 from desctl.espec import equivalent
 from oracles import (enumerate_violations, nonblocking_oracle,
-                     random_automaton, supcon_oracle)
+                     random_automaton, supcon_oracle, validate)
 
 
 @pytest.fixture(scope="module")
@@ -269,18 +268,6 @@ def test_verification_cost_does_not_grow_with_the_alphabet():
     assert time.process_time() - start < 1.0
 
 
-def test_verification_ignores_transitions_outside_the_alphabet():
-    # b's out-degree counts b's alphabet only: a self-loop on an event b does
-    # not declare is no edge, and must not send the pair state to the event scan.
-    ring = wide_ring()
-    ring_x = replace(ring, transitions={
-        **ring.transitions,
-        **{(q, f"x{k % 2000}"): q for k, q in enumerate(ring.states)}})
-    start = time.process_time()
-    assert equivalent(ring, ring_x) == (True, None)
-    assert time.process_time() - start < 1.0
-
-
 def alternation(k: int):
     """Plant x0 -u-> y0 -c-> x1 ... xk -u-> z marked at each x and z; spec without xk -u-> z.
 
@@ -442,7 +429,7 @@ class TestSupcon:
         spec = Automaton("K", alph, ("c", "b|c"), {("c", "x"): "b|c", ("b|c", "y"): "c"},
                          "c", ("c", "b|c"))
         result = supcon(plant, spec)
-        assert result.validate() == []
+        assert validate(result) == []
         assert result.states == ("a|b||c", "a||b|c")
 
     def test_alphabet_violation(self):

@@ -4,6 +4,7 @@ from desctl import espec, fms
 from desctl.automata import Automaton, load_automaton
 from desctl.control import check_nonconflicting
 from desctl.espec import equivalent
+from oracles import validate
 
 
 class TestMachines:
@@ -15,7 +16,7 @@ class TestMachines:
         a = fms.build(kind)
         assert len(a.states) == n_states
         assert len(a.alphabet) == n_events
-        assert a.validate() == []
+        assert validate(a) == []
         assert a.initial == a.states[0]
         assert a.marked == (a.states[0],)
 
@@ -91,7 +92,7 @@ class TestSupervisors:
         s1, s2 = fms.build_supervisor(1), fms.build_supervisor(2)
         assert len(s1.states) == 14 and len(s1.alphabet) == 13
         assert len(s2.states) == 11 and len(s2.alphabet) == 10
-        assert s1.validate() == [] and s2.validate() == []
+        assert validate(s1) == [] and validate(s2) == []
         assert s1.marked == s1.states and s2.marked == s2.states
 
     def test_branch_states(self):
@@ -126,7 +127,7 @@ class TestTotalPlant:
         assert g.name == "G"
         assert len(g.alphabet) == 34
         assert len(g.states) == 384
-        assert g.validate() == []
+        assert validate(g) == []
 
     def test_trim_and_nonblocking(self):
         g = fms.build_total()

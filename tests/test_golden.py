@@ -18,12 +18,11 @@ import tracemalloc
 import pytest
 
 from desctl import automata, espec, fms, sim
-from desctl.automata import (Alphabet, Automaton, automaton_to_dict, load_automaton,
-                             save_automaton)
+from desctl.automata import Alphabet, Automaton, load_automaton, save_automaton
 from desctl.compose import parallel
 from desctl.control import check_controllability, check_nonconflicting, closed_loop, supcon
 from desctl.dot import export_dot
-from oracles import load_outcome, load_whole, random_ast, random_automaton
+from oracles import automaton_to_dict, load_outcome, load_whole, random_ast, random_automaton
 
 
 def _digest(text: str) -> str:

@@ -13,10 +13,10 @@ from functools import partial
 import pytest
 
 from desctl import espec, fms, sim
-from desctl.automata import (Alphabet, Automaton, automaton_to_dict,
-                             empty_automaton, save_automaton)
+from desctl.automata import (Alphabet, Automaton, ModelFormatError, empty_automaton,
+                             save_automaton)
 from desctl.control import closed_loop, supcon
-from oracles import weird_automaton, weird_name
+from oracles import automaton_to_dict, weird_automaton, weird_name
 
 
 def assert_saved_as_dumps(a: Automaton, path) -> None:
@@ -66,19 +66,23 @@ class TestSaveAutomaton:
         for _ in range(200):
             assert_saved_as_dumps(weird_automaton(rng), tmp_path / "a.json")
 
-    @pytest.mark.parametrize("states, transitions, initial, marked", [
-        (("a", "b", "a"), {("a", "x"): "b", ("b", "x"): "a"}, "a", ("a",)),
-        (("a",), {("a", "x"): "nowhere"}, "a", ()),
-        (("a",), {("ghost", "x"): "a", ("a", "x"): "a"}, "a", ("a",)),
-        (("a",), {}, "elsewhere", ("a", "elsewhere", "\u2028")),
-        ((), {}, "a", ("a",)),
+    # In-memory automata with a structural defect: the constructor names it, located.
+    @pytest.mark.parametrize("states, transitions, initial, marked, message", [
+        (("a", "b", "a"), {("a", "x"): "b", ("b", "x"): "a"}, "a", ("a",),
+         "states: duplicate state names"),
+        (("a",), {("a", "x"): "nowhere"}, "a", (), "transitions[0]: unknown state 'nowhere'"),
+        (("a",), {("ghost", "x"): "a", ("a", "x"): "a"}, "a", ("a",),
+         "transitions[0]: unknown state 'ghost'"),
+        (("a",), {}, "elsewhere", ("a", "elsewhere", "\u2028"),
+         "initial: initial state 'elsewhere' not in states"),
+        ((), {}, "a", ("a",), "initial: initial state 'a' not in states"),
     ], ids=["duplicate-state", "dangling-target", "unknown-source",
             "initial-and-marked-outside", "no-states"])
-    def test_invalid_in_memory_automata(self, states, transitions, initial, marked,
-                                        tmp_path):
-        a = Automaton("bad", Alphabet((("x", True),)), states, transitions, initial, marked)
-        assert a.validate()
-        assert_saved_as_dumps(a, tmp_path / "a.json")
+    def test_invalid_in_memory_automata(self, states, transitions, initial, marked, message):
+        with pytest.raises(ModelFormatError) as err:
+            Automaton("bad", Alphabet((("x", True),)), states, transitions, initial, marked)
+        assert str(err.value) == message
+        assert err.value.where == message.split(": ", 1)[0]
 
 
 def assert_rendered_as_dumps(report: sim.RunReport) -> None:

@@ -164,8 +164,11 @@ class TestReplay:
     def test_forged_blocked_event_detected(self, plant, sups):
         report = run(plant, sups, Random(8), 20)
         final = report.trace[-1][1]
-        on = [e for e, _ in successors([plant, *sups], plant.alphabet)(
-            (final.plant_state, *final.sup_states))]
+        components = [plant, *sups]
+        cur = tuple(a.index[q] for a, q in zip(components, (final.plant_state,
+                                                            *final.sup_states)))
+        on = [plant.alphabet.events[e]
+              for e, _ in successors(components, plant.alphabet)(cur)]
 
         def blocked_on(e):
             return replay(plant, sups, sim.RunReport(
