@@ -215,25 +215,22 @@ def spelled(events, word) -> tuple[str, ...]:
     return tuple(map(events.__getitem__, word))
 
 
-# A probe scans an edge list of at most this many entries (16 edges, about the
-# degree of the cell's plant); a longer one gets a dict.
-_SCAN = 32
-
-
 def prober(a: Automaton) -> Callable[[int, Optional[int]], Optional[int]]:
-    """``probe(q, e)``: the target of ``a``'s edge from ``q`` on event rank ``e``, or None."""
-    # A short edge list is scanned.  A state with more edges gets a dict of them on
-    # its first probe, kept by this probe only, so no probe costs the state's degree.
-    out, wide = a.out, {}
+    """``probe(q, e)``: the target of ``a``'s edge from ``q`` on event rank ``e``, or None.
+
+    The edge list of ``q`` is scanned on ``q``'s first probe and read through a dict
+    from its second on, so it is scanned at most once; ``probe`` alone keeps the dicts."""
+    out, probed, dicts = a.out, bytearray(len(a.out)), {}
 
     def probe(q, e):
+        if probed[q]:
+            if (edges := dicts.get(q)) is None:
+                edges = dicts[q] = dict(pairs(out[q]))
+            return edges.get(e)
+        probed[q] = 1
         row = out[q]
-        if len(row) <= _SCAN:
-            events = row[::2]
-            return row[2 * events.index(e) + 1] if e in events else None
-        if (edges := wide.get(q)) is None:
-            edges = wide[q] = dict(pairs(row))
-        return edges.get(e)
+        events = row[::2]
+        return row[2 * events.index(e) + 1] if e in events else None
 
     return probe
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 from .automata import (Alphabet, Automaton, InputError, empty_automaton, from_lists, pairs,
@@ -93,9 +94,10 @@ def fired(automata: Sequence[Automaton], events):
     return go
 
 
-def all_marked(automata: Sequence[Automaton], cur) -> bool:
-    """Is the tuple of component states marked, i.e. marked in every component?"""
-    return all(x in a.marked_ids for a, x in zip(automata, cur))
+def all_marked(automata: Sequence[Automaton]):
+    """``marked(cur)``: is the tuple of component states marked in every component?"""
+    sets = [a.marked_ids for a in automata]
+    return lambda cur: all(map(frozenset.__contains__, sets, cur))
 
 
 def joined(automata: Sequence[Automaton], delimiter: str):
@@ -162,4 +164,4 @@ def parallel(automata: Sequence[Automaton], delimiter: str = "|") -> Automaton:
     nodes, parent, succ = product(automata, alphabet)
     del parent  # only witnesses need it; freed before the states are named
     return from_lists(name, alphabet, map(joined(automata, delimiter), nodes), succ, 0,
-                      [i for i, q in enumerate(nodes) if all_marked(automata, q)])
+                      compress(range(len(nodes)), map(all_marked(automata), nodes)))

@@ -9,6 +9,7 @@ supervisor enable it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Optional, Sequence
 
 from .automata import (Automaton, InputError, empty_automaton, explore, from_nodes, pairs,
@@ -122,7 +123,7 @@ def check_nonconflicting(plant: Automaton, sups: Sequence[Automaton]) -> Conflic
     if any(a.start is None for a in components):
         return ConflictReport(False, (), 0)
     nodes, parent, succ = product(components, plant.alphabet)
-    marked = (i for i, q in enumerate(nodes) if all_marked(components, q))
+    marked = compress(range(len(nodes)), map(all_marked(components), nodes))
     coreach = reachable(predecessors(succ).__getitem__, marked)
     for i in range(len(nodes)):  # breadth-first order, so i + 1 nodes are checked
         if i not in coreach:
@@ -148,7 +149,7 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
         return empty_automaton(name, plant.alphabet)
 
     nodes, _, succ = product([plant, spec], plant.alphabet)
-    marked = {i for i, q in enumerate(nodes) if all_marked([plant, spec], q)}
+    marked = set(compress(range(len(nodes)), map(all_marked([plant, spec]), nodes)))
     preds = predecessors(succ)
     upreds = predecessors(succ, set(map(plant.alphabet.rank.get, plant.alphabet.uncontrollable)))
     good = set(range(len(nodes)))

@@ -8,9 +8,10 @@ in plant-alphabet declaration order, so a given seed reproduces the same
 trace on every platform.  A random run remembers the choices of a state it
 revisits, at most one entry per distinct state visited, as the step rule's
 list with each choice's trace row built once, so later visits share those
-rows and the draws and the trace do not depend on it.  ``report_to_json``
-renders each distinct row afresh until its second use and reuses the text
-from then on.
+rows and the draws and the trace do not depend on it.  ``replay`` keeps a
+revisited state's checked steps alike, firing each once, and compares every
+row.  ``report_to_json`` renders each distinct row afresh until its second
+use and reuses the text, and ``report_from_dict`` shares each distinct row.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def run(plant: Automaton, sups: Sequence[Automaton],
         deadlocked=deadlocked,
         blocked_event=blocked_event,
         completions=_count_completions(trace),
-        final_marked=all_marked(components, cur),
+        final_marked=all_marked(components)(cur),
     )
 
 
@@ -210,16 +211,34 @@ def replay(plant: Automaton, sups: Sequence[Automaton], report: RunReport) -> bo
         return False
     components = [plant, *sup_list]
     go, configuration = fired(components, plant.alphabet.events), _configurations(components)
+    # A state's checked steps are kept from its second visit on, as {event: (next
+    # state, Configuration)}, as run keeps choices, so a revisit fires each event
+    # once.  Every row is still compared.  The key is ``here``, the configuration
+    # recorded for the state and checked equal to its own: a state visited once
+    # keeps no new object alive, which on a long chain the garbage collector
+    # would walk over and over.
     cur = tuple(a.start for a in components)
+    here, seen = configuration(cur), {}
     for e, recorded in report.trace:
-        cur = go(cur, e)
-        if cur is None or recorded != configuration(cur):
+        if (steps := seen.get(here)) is False:
+            steps = seen[here] = {}
+        if steps is None or (step := steps.get(e)) is None:
+            if (nxt := go(cur, e)) is None:
+                return False
+            step = nxt, configuration(nxt)
+            if steps is None:
+                seen[here] = False
+            else:
+                steps[e] = step
+        cur, kept = step
+        if recorded != kept:
             return False
+        here = recorded
     # A deadlock leaves no plant event enabled; a blocked event is one left disabled.
     disabled = [e for e in plant.alphabet.events if go(cur, e) is None]
     return (report.steps_taken == len(report.trace)
             and report.completions == _count_completions(report.trace)
-            and report.final_marked == all_marked(components, cur)
+            and report.final_marked == all_marked(components)(cur)
             and not (report.deadlocked and len(disabled) < len(plant.alphabet))
             and report.blocked_event in (None, *disabled))
 
@@ -284,6 +303,10 @@ def report_from_dict(doc: dict) -> RunReport:
             raise TypeError("a field of the wrong type")
     except (TypeError, KeyError):
         check_shape(doc["trace"], [_ROW], "report.trace")
-    return RunReport(tuple(zip(events, map(Configuration, states, map(tuple, sups)))),
-                     doc["steps_taken"], doc["deadlocked"], doc["blocked_event"],
-                     dict(doc["completions"]), doc["final_marked"])
+    # Rows are made as _configurations makes them, and a repeated value's row is
+    # replaced by its first, so equal rows are one object.
+    rows: dict = {}
+    configs = map(tuple.__new__, repeat(Configuration), zip(states, map(tuple, sups)))
+    trace = [rows.setdefault(row, row) for row in zip(events, configs)]
+    return RunReport(tuple(trace), doc["steps_taken"], doc["deadlocked"],
+                     doc["blocked_event"], dict(doc["completions"]), doc["final_marked"])

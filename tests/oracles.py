@@ -18,7 +18,7 @@ from functools import lru_cache
 from desctl import espec, sim
 from desctl.automata import (Alphabet, Automaton, ModelFormatError, automaton_from_dict,
                              explore)
-from desctl.compose import all_marked, successors
+from desctl.compose import successors
 
 
 # -- expression denotations ------------------------------------------------
@@ -241,7 +241,7 @@ def random_run(plant: Automaton, sups, seed: int, max_steps: int) -> sim.RunRepo
         blocked_event=None,
         completions={cat: sum(1 for e, _cfg in trace if e == ev)
                      for cat, ev in sorted(sim.COMPLETION_EVENTS.items())},
-        final_marked=all_marked(components, cur),
+        final_marked=all(q in a.marked_ids for a, q in zip(components, cur)),
     )
 
 

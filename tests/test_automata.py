@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from desctl import automata, fms
 from desctl.automata import (Alphabet, Automaton, BadQueryError,
                              ModelFormatError, automaton_from_dict,
-                             empty_automaton, explore, from_nodes,
-                             is_sublanguage, load_automaton, pairs,
+                             empty_automaton, explore, from_lists, from_nodes,
+                             is_sublanguage, load_automaton, pairs, prober,
                              save_automaton)
 from desctl.control import check_nonconflicting
 from oracles import (all_strings, automaton_to_dict, load_outcome, load_whole,
@@ -113,6 +114,37 @@ class TestEdgesOf:
         assert a.states == ("n0", "n1") and a.marked == ("n1",)
         assert a.transitions == {("n0", "x"): "n1", ("n1", "x"): "n0"}
         assert validate(a) == []
+
+
+def test_probe_answers_as_a_dict_of_the_edge_list():
+    # Seeded automata with states of 0 to 40 edges, and one state with a
+    # self-loop on each of 2,000 events.  Each state's first, second and later
+    # probes are interleaved over events with and without an edge there, and
+    # over None, the rank of an event that the automaton does not declare.
+    rng = random.Random(22)
+    cases = [from_lists("loops", Alphabet(tuple((f"e{i}", True) for i in range(2000))),
+                        ("q",), [[x for e in range(2000) for x in (e, 0)]], 0, [])]
+    for _ in range(30):
+        n, k = rng.randint(1, 12), rng.randint(1, 40)
+        out = [[x for e in sorted(rng.sample(range(k), rng.randint(0, k)))
+                for x in (e, rng.randrange(n))] for _ in range(n)]
+        cases.append(from_lists("r", Alphabet(tuple((f"e{i}", True) for i in range(k))),
+                                [f"q{i}" for i in range(n)], out, 0, []))
+    probes, answers = Counter(), Counter()
+    for a in cases:
+        probe, times = prober(a), Counter()
+        for _ in range(300):
+            q = rng.randrange(len(a.states))
+            e = rng.choice([None, *range(len(a.alphabet))])
+            probes[min(times[q], 2)] += 1
+            times[q] += 1
+            answer = probe(q, e)
+            assert answer == dict(pairs(a.out[q])).get(e)
+            answers[answer is None, len(a.out[q]) > 32] += 1
+    # First, second and later probes; hits and misses on states of at most
+    # 16 edges and on states of more.
+    assert min(probes[0], probes[1], probes[2]) >= 100
+    assert min(answers.values()) >= 100 and len(answers) == 4
 
 
 class TestReachability:

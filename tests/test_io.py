@@ -134,8 +134,8 @@ class TestReportToJson:
             assert_rendered_as_dumps(report)
 
     def test_loaded_reports_with_mixed_and_repeated_rows(self):
-        # Reports read back from JSON text, so equal rows are distinct
-        # objects; their rows hold 0, 1 or 3 supervisor states and repeat.
+        # Reports read back from JSON text, whose rows hold 0, 1 or 3
+        # supervisor states and repeat.
         rng = random.Random(17)
         mixed = thrice = 0
         for _ in range(60):

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 import time
 from collections import Counter
@@ -268,6 +269,46 @@ def test_replay_agrees_with_the_oracle_on_tampered_reports(plant, sups, how):
         assert not replay(plant, sups, report_from_dict(bad))
 
 
+@pytest.mark.parametrize("how", ["wrong component state", "event only a supervisor disables"])
+def test_replay_refutes_rows_forged_at_revisited_states(plant, sups, how):
+    # Rows forged at a state's third visit or later.  A wrong component state is
+    # forged on a step also taken there at an earlier visit after the first, so
+    # replay has kept the step and must still compare the row with it.
+    rng = random.Random(len(how))
+    doc = report_to_dict(run(plant, sups, Random(11), 300))
+    trace, components = doc["trace"], [plant, *sups]
+    cur = (plant.initial, *(s.initial for s in sups))
+    visits, kept, forged = Counter(), set(), 0
+    for k, row in enumerate(trace):
+        visits[cur] += 1
+        e, cfg = row["event"], row["configuration"]
+        nxt = [cfg["plant_state"], *cfg["sup_states"]]
+        vetoed = [v for v in plant.alphabet.events if (cur[0], v) in plant.transitions
+                  and any(v in s.alphabet and (q, v) not in s.transitions
+                          for s, q in zip(sups, cur[1:]))] if visits[cur] >= 3 else []
+        if how == "wrong component state" and visits[cur] >= 3 and (cur, e) in kept:
+            i = rng.randrange(len(nxt))
+            bad = [e, *nxt]
+            bad[i + 1] = rng.choice([q for q in components[i].states if q != nxt[i]])
+        elif how == "event only a supervisor disables" and vetoed:
+            v = rng.choice(vetoed)
+            # Where the loop would be if the supervisors let v through.
+            bad = [v, *(a.transitions.get((q, v), q) for a, q in zip(components, cur))]
+        else:
+            bad = None
+        if bad:
+            forgery = dict(doc, trace=[*trace[:k], {"event": bad[0], "configuration": {
+                "plant_state": bad[1], "sup_states": bad[2:]}}, *trace[k + 1:]])
+            assert not replay_oracle(plant, sups, forgery, sim.COMPLETION_EVENTS)
+            assert not replay(plant, sups, report_from_dict(forgery))
+            forged += 1
+        if visits[cur] >= 2:
+            kept.add((cur, e))
+        cur = tuple(nxt)
+    assert replay(plant, sups, report_from_dict(doc))
+    assert forged >= 50
+
+
 def _set(doc: dict, path: tuple, value) -> dict:
     """A copy of ``doc`` with the field at ``path`` set to ``value``, or deleted if it is _DEL."""
     doc = copy.deepcopy(doc)
@@ -367,6 +408,24 @@ def test_random_run_cost_does_not_grow_with_the_alphabet():
     assert report.steps_taken == 20_000
     assert replay(g, [], report)
     assert time.process_time() - start < 1.0
+
+
+def test_read_back_shares_equal_rows_and_keeps_the_bytes(plant, sups):
+    # The cell's report repeats rows; the run of an 8,000-state chain repeats none.
+    states = tuple(f"c{i}" for i in range(8001))
+    chain = Automaton("chain", Alphabet((("go", True),)), states,
+                      {(p, "go"): q for p, q in zip(states, states[1:])}, states[0], states[-1:])
+    distinct = []
+    for g, s in ((plant, list(sups)), (chain, [chain])):
+        text = report_to_json(run(g, s, Random(3), 8000))
+        report = report_from_dict(json.loads(text))
+        first: dict = {}
+        for row in report.trace:
+            assert first.setdefault(row, row) is row
+            assert type(row[1]) is Configuration
+        assert report_to_json(report) == text
+        distinct.append(len(first))
+    assert distinct[0] < 1000 and distinct[1] == 8000
 
 
 class TestInteractive:
