@@ -6,12 +6,18 @@ and the boundary.  Only ``desctl.automata`` may read that view (or import
 ``edges_of``, a by-name edge index), so every other module works on the
 integer core and names states and events through ``states`` and the alphabet.
 A keyword argument ``transitions=`` to the constructor is not a read.
+
+Corpus knowledge is kept in one module too: no event id of the reference
+corpus appears in a ``desctl`` module other than ``desctl.fms``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from desctl.fms import EVENT_IDS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "desctl"
 
@@ -40,3 +46,31 @@ def test_the_check_finds_reads_and_ignores_keywords():
                          ids=lambda p: p.name)
 def test_only_automata_reads_the_transition_map(path):
     assert reads_of_the_name_map(path.read_text(encoding="utf-8")) == [], path.name
+
+
+# The completion events the simulator counts are the one corpus fact left in a
+# generic module; ROADMAP item 4 leaves moving them to desctl.fms open.
+CORPUS_EXCEPTIONS = {("sim.py", 'COMPLETION_EVENTS = {"1": "A.done1", "2": "A.done2"}')}
+
+
+def corpus_event_lines(source: str) -> list[int]:
+    """Lines of ``source`` that name a corpus event id, as a whole word."""
+    ids = "|".join(re.escape(e) for e in sorted(EVENT_IDS, key=len, reverse=True))
+    pattern = re.compile(rf"(?<![\w.])(?:{ids})(?!\w)")
+    return [i for i, line in enumerate(source.splitlines(), 1) if pattern.search(line)]
+
+
+def test_the_corpus_scan_finds_whole_ids():
+    source = ('x = "A.on"\n'
+              'y = "A.one", "XA.on", "B.A.on"\n'
+              "# the robot fires R.pick7.\n"
+              "z = R.place10\n")
+    assert corpus_event_lines(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "fms.py"),
+                         ids=lambda p: p.name)
+def test_corpus_event_ids_stay_in_fms(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    found = [lines[i - 1].strip() for i in corpus_event_lines("\n".join(lines))]
+    assert [line for line in found if (path.name, line) not in CORPUS_EXCEPTIONS] == []

@@ -43,6 +43,66 @@ def loop(plant):
     return closed_loop(plant, [fms.build_supervisor(1), fms.build_supervisor(2)])
 
 
+# The files ``fms.emit`` writes, in its order, with the sha256 of each.
+# Recorded before the corpus machines moved onto one transition table each.
+CORPUS_FILES = {
+    "C1.json": "df3507e56c7be9d53a27f0bf2f252c6e1b4b0b662f2354311ade47add688ca23",
+    "C2.json": "f0dd069754e8685b98da7a0a288aec55e6fa9eeb63ff37b25ac5347b3334a204",
+    "C3.json": "bf90519c2a7213b330a0b65b3f1c0b0c12ccbdf9cab41e82a0ba566b66020625",
+    "R.json": "bdf5d1e515a3b5b74ebdc3208bfe81aef50d360085b5e97e51e7f97a5923e530",
+    "L.json": "681328b4ba3609d306c2883c034a071641cc147000b89b810c9bbea6c2b8d39b",
+    "M.json": "96fc8fe660fbbb404043056c905a4f64c5b97ab8916231c20f9f24d8f6600be9",
+    "P.json": "79abb0801856f903ef393848815032d22932f1450c72334ed67ba2afa981f3f5",
+    "A.json": "6dc5985aee256b8779fd38ab60d5285cc4b4f029f3242ac01d0e9f6f73b0a3d1",
+    "G_total.json": "46a23cf44afa45ba90b91842e2679f224985d7edc14539208262e97a5c582654",
+    "G_total_sec2.json": "dc79ea2db5ee8dce3c49425ed47d799e3b0bcce288c182a7c7f6260dbc1011d0",
+    "S1.json": "cebe78ae92cd1693ec3bc36e87a70c284b4deaa8c3e1091ab3916d037b4f9073",
+    "S2.json": "ad5496096a7d87095e602e6cff451b84339c34eb8225d9fc00dd16112d7c95ad",
+    "KD1.expr": "13d6a3472e32de16a42daf6ceaa3dbfcd90a4de122e53f7b2418121bda6a92de",
+    "KD2.expr": "916bfa216b6c6d9edb484f6057d9cb27d7f6b4adcd305998110ddb55409c3331",
+    "events.tsv": "6ab464048298b1d5c0abd45167fab817263325f2c2edfdc5da43056e557dfac8",
+}
+
+
+def test_emitted_corpus_files(tmp_path):
+    # TestEmit compares the files with the builders that wrote them; this
+    # also sees a byte change that reaches both.
+    written = fms.emit(str(tmp_path))
+    assert written == list(CORPUS_FILES)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in written} == CORPUS_FILES
+
+
+# Machines and supervisors under both partitions.  The partitions differ only
+# in the conveyors' flags, so the other machines' digests repeat.
+@pytest.mark.parametrize("partition, which, digest", [
+    ("sec28", "C1", "5249cee7cd41429b84c1818d80089c16ecdebf49511b910bf827bc459de25a41"),
+    ("sec28", "C2", "e61f7677887b61570b5ed5893bfdf6a4796aa3c41a6b63794baae86c328deef2"),
+    ("sec28", "C3", "0e5aaf07a44e7d74a9625eef8df32e5a44e7f91c9119fd813404720fb0e2ddbe"),
+    ("sec28", "R", "8fab25837e0010b3be1d2a299e08e0b7c9c223d5f5cc9b882d9fa2334df99b65"),
+    ("sec28", "L", "5d2e35922a3689a189e37c90d4e3605287d8384ee8aaed5a1dbe525a9200a552"),
+    ("sec28", "M", "3609142e01b89b1454967fad97e3bcaa884b29497253f8c754646c19f7113a5d"),
+    ("sec28", "P", "3bd0771f619b098cb7c08dd3c4b8e96f864d16aafab2064d19ec5cb4af119bc0"),
+    ("sec28", "A", "57704e95d2fef88a67027b3eeb7447de90e88a89c53895dcec3e7cb1a19da963"),
+    ("sec28", 1, "cad5ef2fac898242f5090836e2ae42f9c4b7f2946e928fd525397819af28f641"),
+    ("sec28", 2, "32c39cc226d8153f3e1b7bacd2e4adae76233f7fb064a7d7563fe5f1c0d54362"),
+    ("sec2", "C1", "836701d813752a77e5eeb89ababc704b8afb873c827d6539745610343a9e61c5"),
+    ("sec2", "C2", "3700063b6c60467e517e7bc2ff0e9bb348c2148250a0b7472d8fd25f6968b985"),
+    ("sec2", "C3", "e44aa75111559ae8d59e9520b4715d6a26d14ae486fd61662ed42c3654d7a80e"),
+    ("sec2", "R", "8fab25837e0010b3be1d2a299e08e0b7c9c223d5f5cc9b882d9fa2334df99b65"),
+    ("sec2", "L", "5d2e35922a3689a189e37c90d4e3605287d8384ee8aaed5a1dbe525a9200a552"),
+    ("sec2", "M", "3609142e01b89b1454967fad97e3bcaa884b29497253f8c754646c19f7113a5d"),
+    ("sec2", "P", "3bd0771f619b098cb7c08dd3c4b8e96f864d16aafab2064d19ec5cb4af119bc0"),
+    ("sec2", "A", "57704e95d2fef88a67027b3eeb7447de90e88a89c53895dcec3e7cb1a19da963"),
+    ("sec2", 1, "847364d0c8008cf3a8c399e685b3741f2bf58d265ebbad213f1e75517c1ea892"),
+    ("sec2", 2, "bb6d29b8d8ee7315cb47d498f83933f48db3dfec7c6bc9d2697b06b761d1da88"),
+])
+def test_corpus_models(partition, which, digest):
+    a = (fms.build(which, partition) if isinstance(which, str)
+         else fms.build_supervisor(which, partition))
+    assert _model_digest(a) == digest
+
+
 def test_seeded_random_run_report(plant):
     sups = [fms.build_supervisor(1), fms.build_supervisor(2)]
     report = sim.run(plant, sups, sim.Random(5), 3000)
