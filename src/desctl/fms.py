@@ -5,6 +5,13 @@ machine M, a painting machine P, an assembly machine A) connected through
 single-slot buffers B1-B8.  The buffers carry no automata of their own;
 they appear only in event descriptions as pick/place targets.
 
+Each machine is one transition table, ``_MACHINES[kind]``, of
+``(from, event, to, description)`` rows.  The machine's automaton, its
+alphabet and the corpus event table (``EVENT_TABLE``, written to
+``events.tsv``) are derived from it: the flat symbol of the ``i``-th event of
+machine ``kind`` is ``e{kind}_{i}``.  The two supervisors are tables of
+``(from, event, to)`` rows over their own alphabets, built by the same code.
+
 Two controllability partitions ship with the corpus and share event ids:
 
 * ``sec28`` (default): the conveyor move commands and the assembly
@@ -25,58 +32,50 @@ from . import PARTITIONS
 from .automata import Alphabet, Automaton, save_automaton
 from .compose import parallel
 
-MACHINE_KINDS = ("C1", "C2", "C3", "R", "L", "M", "P", "A")
-
 _UNCONTROLLABLE = {
     "sec28": frozenset({"C1.move", "C2.move", "C3.move", "A.done1", "A.done2"}),
     "sec2": frozenset({"C1.load", "C2.load", "C3.load", "A.done1", "A.done2"}),
 }
 
+# Each machine's transition table: (from, event, to, description) rows over
+# states numbered from 1, where state 1 is initial and the only marked state.
+# Each event labels exactly one row; the machine's alphabet is its events in
+# row order, and the machines in table order give the corpus event order.
+_MACHINES = {
+    "C1": ((1, "C1.load", 2, "product loaded onto conveyor 1"),
+           (2, "C1.move", 1, "conveyor 1 moves the product to buffer B1")),
+    "C2": ((1, "C2.load", 2, "product loaded onto conveyor 2"),
+           (2, "C2.move", 1, "conveyor 2 moves the product to buffer B2")),
+    "C3": ((1, "C3.load", 2, "product loaded onto conveyor 3"),
+           (2, "C3.move", 1, "conveyor 3 moves the product to buffer B8")),
+    "R": tuple((1, f"R.pick{k}", 2, f"robot picks a product from buffer B{k}")
+               for k in range(1, 8))
+         + tuple((2, f"R.place{k}", 1, f"robot places a product into buffer B{k}")
+                 for k in range(1, 8)),
+    "L": ((1, "L.start1", 2, "lathe loads a category-1 product and starts machining"),
+          (1, "L.start2", 2, "lathe loads a category-2 product and starts machining"),
+          (2, "L.done1", 1, "lathe finishes machining the category-1 product"),
+          (2, "L.done2", 1, "lathe finishes machining the category-2 product")),
+    "M": ((1, "M.start", 2, "milling machine loads a product and starts machining"),
+          (2, "M.done", 1, "milling machine finishes machining the product")),
+    "P": ((1, "P.start", 2, "painting machine loads a product and starts painting"),
+          (2, "P.done", 1, "painting machine finishes painting the product")),
+    "A": ((1, "A.on", 2, "assembly machine starts up"),
+          (2, "A.fromB5", 3, "assembly machine assembles a product from buffer B5"),
+          (2, "A.fromB6", 3, "assembly machine assembles a product from buffer B6"),
+          (2, "A.fromB7", 3, "assembly machine assembles a product from buffer B7"),
+          (3, "A.done1", 1, "category-1 assembly completed"),
+          (3, "A.done2", 1, "category-2 assembly completed")),
+}
+
+MACHINE_KINDS = tuple(_MACHINES)
+
 # (canonical id, flat symbol, description); order is the corpus event order.
 EVENT_TABLE: tuple[tuple[str, str, str], ...] = tuple(
-    [
-        ("C1.load", "eC1_1", "product loaded onto conveyor 1"),
-        ("C1.move", "eC1_2", "conveyor 1 moves the product to buffer B1"),
-        ("C2.load", "eC2_1", "product loaded onto conveyor 2"),
-        ("C2.move", "eC2_2", "conveyor 2 moves the product to buffer B2"),
-        ("C3.load", "eC3_1", "product loaded onto conveyor 3"),
-        ("C3.move", "eC3_2", "conveyor 3 moves the product to buffer B8"),
-    ]
-    + [(f"R.pick{k}", f"eR_{k}", f"robot picks a product from buffer B{k}")
-       for k in range(1, 8)]
-    + [(f"R.place{k}", f"eR_{k + 7}", f"robot places a product into buffer B{k}")
-       for k in range(1, 8)]
-    + [
-        ("L.start1", "eL_1", "lathe loads a category-1 product and starts machining"),
-        ("L.start2", "eL_2", "lathe loads a category-2 product and starts machining"),
-        ("L.done1", "eL_3", "lathe finishes machining the category-1 product"),
-        ("L.done2", "eL_4", "lathe finishes machining the category-2 product"),
-        ("M.start", "eM_1", "milling machine loads a product and starts machining"),
-        ("M.done", "eM_2", "milling machine finishes machining the product"),
-        ("P.start", "eP_1", "painting machine loads a product and starts painting"),
-        ("P.done", "eP_2", "painting machine finishes painting the product"),
-        ("A.on", "eA_1", "assembly machine starts up"),
-        ("A.fromB5", "eA_2", "assembly machine assembles a product from buffer B5"),
-        ("A.fromB6", "eA_3", "assembly machine assembles a product from buffer B6"),
-        ("A.fromB7", "eA_4", "assembly machine assembles a product from buffer B7"),
-        ("A.done1", "eA_5", "category-1 assembly completed"),
-        ("A.done2", "eA_6", "category-2 assembly completed"),
-    ]
-)
+    (event, f"e{kind}_{i}", description) for kind, rows in _MACHINES.items()
+    for i, (_, event, _, description) in enumerate(rows, 1))
 
 EVENT_IDS = frozenset(row[0] for row in EVENT_TABLE)
-
-_MACHINE_EVENTS = {
-    "C1": ("C1.load", "C1.move"),
-    "C2": ("C2.load", "C2.move"),
-    "C3": ("C3.load", "C3.move"),
-    "R": tuple(f"R.pick{k}" for k in range(1, 8))
-         + tuple(f"R.place{k}" for k in range(1, 8)),
-    "L": ("L.start1", "L.start2", "L.done1", "L.done2"),
-    "M": ("M.start", "M.done"),
-    "P": ("P.start", "P.done"),
-    "A": ("A.on", "A.fromB5", "A.fromB6", "A.fromB7", "A.done1", "A.done2"),
-}
 
 _SPEC_TEXT = {
     1: ("pc((C1.load R.pick1 R.place3 M.start R.pick3 R.place4 L.start1 R.pick4 "
@@ -85,26 +84,23 @@ _SPEC_TEXT = {
         "(R.place5 + R.place7 C3.load P.start C3.load) A.on)*)"),
 }
 
-_S1_ALPHABET = ("C1.load", "C3.load", "R.pick1", "R.pick3", "R.pick4",
-                "R.place4", "R.place3", "R.place6", "R.place7",
-                "M.start", "L.start1", "P.start", "A.on")
-
-_S1_TRANSITIONS = (
-    (1, "C1.load", 2), (2, "R.pick1", 3), (3, "R.place3", 4), (4, "M.start", 5),
-    (5, "R.pick3", 6), (6, "R.place4", 7), (7, "L.start1", 8), (8, "R.pick4", 9),
-    (9, "R.place6", 10), (9, "R.place7", 11), (10, "A.on", 1),
-    (11, "C3.load", 12), (12, "P.start", 13), (13, "C3.load", 14), (14, "A.on", 1),
-)
-
-_S2_ALPHABET = ("C2.load", "C3.load", "R.pick2", "R.pick4",
-                "R.place4", "R.place5", "R.place7",
-                "L.start2", "P.start", "A.on")
-
-_S2_TRANSITIONS = (
-    (1, "C2.load", 2), (2, "R.pick2", 3), (3, "R.place4", 4), (4, "L.start2", 5),
-    (5, "R.pick4", 6), (6, "R.place5", 7), (6, "R.place7", 8), (7, "A.on", 1),
-    (8, "C3.load", 9), (9, "P.start", 10), (10, "C3.load", 11), (11, "A.on", 1),
-)
+# Each supervisor as (name, alphabet, (from, event, to) rows over states
+# numbered from 1); state 1 is initial and every state is marked.
+_SUPERVISORS = {
+    1: ("S1",
+        ("C1.load", "C3.load", "R.pick1", "R.pick3", "R.pick4", "R.place4", "R.place3",
+         "R.place6", "R.place7", "M.start", "L.start1", "P.start", "A.on"),
+        ((1, "C1.load", 2), (2, "R.pick1", 3), (3, "R.place3", 4), (4, "M.start", 5),
+         (5, "R.pick3", 6), (6, "R.place4", 7), (7, "L.start1", 8), (8, "R.pick4", 9),
+         (9, "R.place6", 10), (9, "R.place7", 11), (10, "A.on", 1),
+         (11, "C3.load", 12), (12, "P.start", 13), (13, "C3.load", 14), (14, "A.on", 1))),
+    2: ("S2",
+        ("C2.load", "C3.load", "R.pick2", "R.pick4", "R.place4", "R.place5", "R.place7",
+         "L.start2", "P.start", "A.on"),
+        ((1, "C2.load", 2), (2, "R.pick2", 3), (3, "R.place4", 4), (4, "L.start2", 5),
+         (5, "R.pick4", 6), (6, "R.place5", 7), (6, "R.place7", 8), (7, "A.on", 1),
+         (8, "C3.load", 9), (9, "P.start", 10), (10, "C3.load", 11), (11, "A.on", 1))),
+}
 
 
 def make_alphabet(event_ids, partition: str = "sec28") -> Alphabet:
@@ -121,41 +117,20 @@ def apply_partition(a: Automaton, partition: str) -> Automaton:
         _UNCONTROLLABLE[partition] | (set(a.alphabet.uncontrollable) - EVENT_IDS)))
 
 
+def _automaton(name: str, events, rows, partition: str, all_marked: bool) -> Automaton:
+    """The automaton of ``(from, event, to, ...)`` rows, states named ``q{name}_{i}``."""
+    states = tuple(f"q{name}_{i}" for i in range(1, max(max(r[0], r[2]) for r in rows) + 1))
+    return Automaton(name=name, alphabet=make_alphabet(events, partition), states=states,
+                     transitions={(states[q - 1], e): states[t - 1] for q, e, t, *_ in rows},
+                     initial=states[0], marked=states if all_marked else states[:1])
+
+
 def build(kind: str, partition: str = "sec28") -> Automaton:
     """One machine automaton, with canonical state and event names."""
-    if kind not in _MACHINE_EVENTS:
+    if kind not in _MACHINES:
         raise ValueError(f"unknown machine kind {kind!r}")
-    alphabet = make_alphabet(_MACHINE_EVENTS[kind], partition)
-    if kind in ("C1", "C2", "C3"):
-        s1, s2 = f"q{kind}_1", f"q{kind}_2"
-        trans = {(s1, f"{kind}.load"): s2, (s2, f"{kind}.move"): s1}
-        states = (s1, s2)
-    elif kind == "R":
-        s1, s2 = "qR_1", "qR_2"
-        trans = {(s1, f"R.pick{k}"): s2 for k in range(1, 8)}
-        trans.update({(s2, f"R.place{k}"): s1 for k in range(1, 8)})
-        states = (s1, s2)
-    elif kind == "L":
-        s1, s2 = "qL_1", "qL_2"
-        trans = {(s1, "L.start1"): s2, (s1, "L.start2"): s2,
-                 (s2, "L.done1"): s1, (s2, "L.done2"): s1}
-        states = (s1, s2)
-    elif kind == "M":
-        s1, s2 = "qM_1", "qM_2"
-        trans = {(s1, "M.start"): s2, (s2, "M.done"): s1}
-        states = (s1, s2)
-    elif kind == "P":
-        s1, s2 = "qP_1", "qP_2"
-        trans = {(s1, "P.start"): s2, (s2, "P.done"): s1}
-        states = (s1, s2)
-    else:  # A
-        s1, s2, s3 = "qA_1", "qA_2", "qA_3"
-        trans = {(s1, "A.on"): s2,
-                 (s2, "A.fromB5"): s3, (s2, "A.fromB6"): s3, (s2, "A.fromB7"): s3,
-                 (s3, "A.done1"): s1, (s3, "A.done2"): s1}
-        states = (s1, s2, s3)
-    return Automaton(name=kind, alphabet=alphabet, states=states,
-                     transitions=trans, initial=states[0], marked=(states[0],))
+    rows = _MACHINES[kind]
+    return _automaton(kind, [r[1] for r in rows], rows, partition, all_marked=False)
 
 
 def build_total(partition: str = "sec28") -> Automaton:
@@ -174,34 +149,23 @@ def spec_text(category: int) -> str:
 
 def build_supervisor(category: int, partition: str = "sec28") -> Automaton:
     """Supervisor automaton for one product category; all states marked."""
-    if category == 1:
-        name, prefix, alph, rows, n = "S1", "qS1", _S1_ALPHABET, _S1_TRANSITIONS, 14
-    elif category == 2:
-        name, prefix, alph, rows, n = "S2", "qS2", _S2_ALPHABET, _S2_TRANSITIONS, 11
-    else:
-        raise ValueError(f"unknown category {category!r}")
-    states = tuple(f"{prefix}_{i}" for i in range(1, n + 1))
-    trans = {(f"{prefix}_{a}", e): f"{prefix}_{b}" for a, e, b in rows}
-    return Automaton(name=name, alphabet=make_alphabet(alph, partition),
-                     states=states, transitions=trans,
-                     initial=states[0], marked=states)
+    try:
+        name, events, rows = _SUPERVISORS[category]
+    except (KeyError, TypeError):  # an unhashable category is unknown too
+        raise ValueError(f"unknown category {category!r}") from None
+    return _automaton(name, events, rows, partition, all_marked=True)
 
 
 def emit(outdir: str) -> list[str]:
     """Write the corpus to a directory; returns the written file names."""
     os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    def _write_automaton(fname: str, a: Automaton):
+    models = {f"{kind}.json": build(kind) for kind in MACHINE_KINDS}
+    models.update({"G_total.json": build_total("sec28"),
+                   "G_total_sec2.json": build_total("sec2").renamed("G_sec2"),
+                   "S1.json": build_supervisor(1), "S2.json": build_supervisor(2)})
+    for fname, a in models.items():
         save_automaton(a, os.path.join(outdir, fname))
-        written.append(fname)
-
-    for kind in MACHINE_KINDS:
-        _write_automaton(f"{kind}.json", build(kind))
-    _write_automaton("G_total.json", build_total("sec28"))
-    _write_automaton("G_total_sec2.json", build_total("sec2").renamed("G_sec2"))
-    _write_automaton("S1.json", build_supervisor(1))
-    _write_automaton("S2.json", build_supervisor(2))
+    written = list(models)
     for cat in (1, 2):
         fname = f"KD{cat}.expr"
         with open(os.path.join(outdir, fname), "w", encoding="utf-8") as fh:

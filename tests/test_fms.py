@@ -34,7 +34,7 @@ class TestMachines:
         assert a.transitions.get(("qA_3", "A.done2")) == "qA_1"
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown machine kind 'Z'$"):
             fms.build("Z")
 
     def test_machine_alphabets_partition_the_event_table(self):
@@ -107,9 +107,11 @@ class TestSupervisors:
         assert s1.transitions.get(("qS1_14", "A.on")) == "qS1_1"
 
     def test_unknown_category(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown category 3$"):
             fms.build_supervisor(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown category \[1\]$"):
+            fms.build_supervisor([1])
+        with pytest.raises(ValueError, match=r"^unknown category 0$"):
             fms.spec_text(0)
 
     def test_language_matches_expression(self):
