@@ -53,24 +53,22 @@ def test_only_automata_reads_the_transition_map(path):
 CORPUS_EXCEPTIONS = {("sim.py", 'COMPLETION_EVENTS = {"1": "A.done1", "2": "A.done2"}')}
 
 
-def corpus_event_lines(source: str) -> list[int]:
-    """Lines of ``source`` that name a corpus event id, as a whole word."""
-    ids = "|".join(re.escape(e) for e in sorted(EVENT_IDS, key=len, reverse=True))
-    pattern = re.compile(rf"(?<![\w.])(?:{ids})(?!\w)")
-    return [i for i, line in enumerate(source.splitlines(), 1) if pattern.search(line)]
+def corpus_event_lines(source: str) -> list[str]:
+    """The lines of ``source``, stripped, that name a corpus event id as a whole word."""
+    pattern = re.compile(rf"(?<![\w.])(?:{'|'.join(map(re.escape, sorted(EVENT_IDS)))})(?!\w)")
+    return [line.strip() for line in source.splitlines() if pattern.search(line)]
 
 
 def test_the_corpus_scan_finds_whole_ids():
     source = ('x = "A.on"\n'
               'y = "A.one", "XA.on", "B.A.on"\n'
-              "# the robot fires R.pick7.\n"
+              "    # the robot fires R.pick7.\n"
               "z = R.place10\n")
-    assert corpus_event_lines(source) == [1, 3]
+    assert corpus_event_lines(source) == ['x = "A.on"', "# the robot fires R.pick7."]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "fms.py"),
                          ids=lambda p: p.name)
 def test_corpus_event_ids_stay_in_fms(path):
-    lines = path.read_text(encoding="utf-8").splitlines()
-    found = [lines[i - 1].strip() for i in corpus_event_lines("\n".join(lines))]
+    found = corpus_event_lines(path.read_text(encoding="utf-8"))
     assert [line for line in found if (path.name, line) not in CORPUS_EXCEPTIONS] == []
