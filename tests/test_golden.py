@@ -65,7 +65,7 @@ CORPUS_FILES = {
 
 
 def test_emitted_corpus_files(tmp_path):
-    # TestEmit compares the files with the builders that wrote them; this
+    # TestEmit compares the files with the models fms builds for them; this
     # also sees a byte change that reaches both.
     written = fms.emit(str(tmp_path))
     assert written == list(CORPUS_FILES)
