@@ -461,11 +461,13 @@ def _bad_row(rows: list, edges: Transitions, at: str) -> ModelFormatError:
         seen.add((src, on))
 
 
-# Characters of transition rows decoded at a time.  A slice ends at "},\n", which
-# is always structural: a JSON string cannot hold a raw newline.
-_SLICE_CHARS = 1 << 20
+# Characters of text read, and of transition rows decoded, at a time.  A slice of
+# rows ends at "},\n", which is always structural: a JSON string cannot hold a raw
+# newline.
+_SLICE_CHARS = 1 << 18
 _scan = json.JSONDecoder().scan_once
 _skip = json.decoder.WHITESPACE.match
+_ROWS = object()  # the value :func:`_field` gives for a transitions array
 
 
 def _past(s: str, idx: int, token: str) -> int:
@@ -476,52 +478,98 @@ def _past(s: str, idx: int, token: str) -> int:
     return idx + len(token)
 
 
-def _decode_rows(s: str, idx: int, edges: Transitions) -> tuple[str, int]:
-    """Add the rows of the array at ``s[idx]`` to ``edges`` a slice at a time; the
-    text and the index past the array (the rest of ``s``, past one slice)."""
-    while (cut := s.find("},\n", idx + _SLICE_CHARS)) >= 0:
-        piece = f"[{s[idx + 1:cut + 1]}]"
-        rows, end = _scan(piece, 0)
-        if end != len(piece) or not _add_rows(edges, map(_row_names, rows)):
-            raise ValueError("not a slice of rows")
-        idx = cut + 1  # at the "," before the next row
-    if s.startswith(",", idx):
-        s, idx = "[" + s[idx + 1:], 0
-    rows, idx = _scan(s, idx)  # in place, if the array is shorter than one slice
+def _field(s: str, idx: int, sep: str) -> tuple:
+    """The top-level field after ``sep`` ("{" or ",") at ``s[idx]``: ``(key, value,
+    index past it and any whitespace)``.  The key is None past the closing brace; the
+    value is ``_ROWS``, and the index at the "[", for a transitions array."""
+    if sep == "," and s.startswith("}", idx := _skip(s, idx).end()):
+        return None, None, idx + 1
+    key, idx = json.decoder.scanstring(s, _past(s, _past(s, idx, sep), '"'))
+    idx = _skip(s, _past(s, idx, ":")).end()
+    if key == "transitions" and s.startswith("[", idx):
+        return key, _ROWS, idx
+    value, idx = _scan(s, idx)
+    return key, value, _skip(s, idx).end()
+
+
+def _add_slice(edges: Transitions, text: str) -> None:
+    """Add the rows of the JSON array ``text`` to ``edges``; ValueError if it is not one.
+
+    A function of its own, so that a slice's rows are freed before the next is read."""
+    rows, end = _scan(text, 0)
+    if end != len(text) or not _add_rows(edges, map(_row_names, rows)):
+        raise ValueError("not a slice of rows")
+
+
+def _decode_rows(fh, s: str, edges: Transitions) -> tuple[str, int]:
+    """Add the rows of the array that ``s`` starts, and ``fh`` goes on, to ``edges``, a
+    slice at a time; the text held and the index past the array in it."""
+    # ``s`` starts at the "[", then at the "," before the next row.  A read is one
+    # slice, or as long as the text held when that holds no row's end.
+    while True:
+        if (cut := s.rfind("},\n")) > 0:
+            _add_slice(edges, f"[{s[1:cut + 1]}]")
+            s = s[cut + 1:]
+        held = len(s)
+        s += fh.read(max(_SLICE_CHARS, held))
+        if len(s) == held:
+            break
+    if s.startswith(","):
+        s = "[" + s[1:]
+    rows, idx = _scan(s, 0)  # the rest of the file, in place
     if not _add_rows(edges, map(_row_names, rows)):
         raise ValueError("bad row")
     return s, idx
 
 
-def _decode_streamed(s: str, where: str) -> Automaton:
-    """The model in ``s``, a top-level field at a time and its rows a slice at a time.
+def _decode_streamed(fh, where: str) -> Automaton:
+    """The model in the text file ``fh``, read a slice at a time: a top-level field at a
+    time, and its rows a slice at a time.
 
     Takes one object, each key once, with every field that :func:`_header`
     checks before ``transitions``, that loads without error.
     """
-    doc, fields, idx, sep = {}, None, _past(s, 0, "{"), ""
-    while not s.startswith("}", idx := _skip(s, idx).end()):
-        key, idx = json.decoder.scanstring(s, _past(s, _past(s, idx, sep), '"'))
-        idx, sep = _skip(s, _past(s, idx, ":")).end(), ","
+    doc, fields, s, idx, sep = {}, None, "", 0, "{"
+    while True:
+        # A field that fails or ends at the end of the text held may be cut short:
+        # it is tried again from its start with more text, unless the file has ended.
+        try:
+            key, value, end = _field(s, idx, sep)
+            complete = end < len(s)
+        except (ValueError, StopIteration):
+            complete = False
+        if not complete:
+            if more := fh.read(max(_SLICE_CHARS, len(s) - idx)):
+                s, idx = s[idx:] + more, 0
+                continue
+            key, value, end = _field(s, idx, sep)
+        if key is None:
+            break
         if key in doc:
             raise ValueError("repeated key")
-        if key == "transitions" and s.startswith("[", idx):
+        if value is _ROWS:
             doc[key] = []  # a list, as the header check requires; the rows go below
             fields = _header(doc, where)
-            s, idx = _decode_rows(s, idx, fields["transitions"])
+            s = s[end:]  # the header's text is not held while the rows are read
+            s, end = _decode_rows(fh, s, fields["transitions"])
         else:
-            doc[key], idx = _scan(s, idx)
-    if fields is None or _skip(s, idx + 1).end() != len(s):
-        raise ValueError("no rows, or data after the object")
-    return Automaton(**fields)
+            doc[key] = value
+        idx, sep = end, ","
+    if fields is None:
+        raise ValueError("no rows")
+    while _skip(s, end).end() == len(s):
+        if not (s := fh.read(_SLICE_CHARS)):
+            return Automaton(**fields)
+        end = 0
+    raise ValueError("data after the object")
 
 
 def load_automaton(path) -> Automaton:
     """The model in the JSON file at ``path``; ModelFormatError if it is not one.
 
-    A file longer than one slice and laid out header first has its rows decoded a
-    slice at a time.  Any other file, and any file with an error, is decoded as
-    one document, as it always was, so every diagnostic is that of
+    A file longer than one slice and laid out header first is read, and its rows
+    decoded, a slice at a time.  Any other file, and any file with an error, is
+    decoded as one document, as it always was, so every diagnostic is that of
     :func:`automaton_from_dict`.
     """
     where = str(path)
@@ -529,7 +577,7 @@ def load_automaton(path) -> Automaton:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 if os.fstat(fh.fileno()).st_size > _SLICE_CHARS:
-                    return _decode_streamed(fh.read(), where)
+                    return _decode_streamed(fh, where)
             except (ValueError, StopIteration, RecursionError):  # not taken, whatever the reason
                 fh.seek(0)
             doc = json.load(fh)

@@ -103,8 +103,16 @@ _SUPERVISORS = {
 }
 
 
+def _uncontrollable(partition: str) -> frozenset:
+    """The uncontrollable events of a named corpus partition."""
+    try:
+        return _UNCONTROLLABLE[partition]
+    except (KeyError, TypeError):  # an unhashable partition is unknown too
+        raise ValueError(f"unknown partition {partition!r}") from None
+
+
 def make_alphabet(event_ids, partition: str = "sec28") -> Alphabet:
-    uc = _UNCONTROLLABLE[partition]
+    uc = _uncontrollable(partition)
     return Alphabet(tuple((e, e not in uc) for e in event_ids))
 
 
@@ -114,7 +122,7 @@ def apply_partition(a: Automaton, partition: str) -> Automaton:
     Events outside the corpus keep their existing flag.
     """
     return replace(a, alphabet=a.alphabet.reflagged(
-        _UNCONTROLLABLE[partition] | (set(a.alphabet.uncontrollable) - EVENT_IDS)))
+        _uncontrollable(partition) | (set(a.alphabet.uncontrollable) - EVENT_IDS)))
 
 
 def _automaton(name: str, events, rows, partition: str, all_marked: bool) -> Automaton:
@@ -173,10 +181,10 @@ def emit(outdir: str) -> list[str]:
             fh.write(spec_text(cat) + "\n")
         written.append(fname)
     with open(os.path.join(outdir, "events.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("id\tsymbol\tdescription\tcontrollable_sec28\tcontrollable_sec2\n")
-        for eid, sym, desc in EVENT_TABLE:
-            c28 = eid not in _UNCONTROLLABLE["sec28"]
-            c2 = eid not in _UNCONTROLLABLE["sec2"]
-            fh.write(f"{eid}\t{sym}\t{desc}\t{str(c28).lower()}\t{str(c2).lower()}\n")
+        fh.write("\t".join(["id", "symbol", "description",
+                             *(f"controllable_{p}" for p in PARTITIONS)]) + "\n")
+        for row in EVENT_TABLE:
+            flags = ("false" if row[0] in _UNCONTROLLABLE[p] else "true" for p in PARTITIONS)
+            fh.write("\t".join([*row, *flags]) + "\n")
     written.append("events.tsv")
     return written

@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import random
 from collections import Counter
@@ -337,20 +338,22 @@ def test_loader_diagnostics(patch, message, tmp_path, monkeypatch):
 
 # -- the loader against the whole-document decode ---------------------------
 
-# Characters per slice of rows: one row a slice, a few rows, and the default,
-# under which a file this small is decoded as one document.
-SLICES = (1, 64, 1 << 20)
+# Characters per read and per slice of rows: one row a slice, a few rows, and the
+# default, under which a file this small is decoded as one document.
+SLICES = (1, 64, automata._SLICE_CHARS)
 
 
 def layouts(doc: dict, rng) -> list[str]:
-    """Texts of ``doc``: save_automaton's layout, rows shuffled, compact, unescaped,
-    keys shuffled, ``transitions`` first, header keys repeated before and after the
-    rows, extra keys after them, whitespace and then data after the object."""
+    """Texts of ``doc``: save_automaton's layout, with CRLF line ends, rows shuffled,
+    compact, unescaped, keys shuffled, ``transitions`` first, header keys repeated
+    before and after the rows, extra keys after them, whitespace and then data after
+    the object."""
     keys = list(doc)
     rng.shuffle(keys)
     rows = rng.sample(doc["transitions"], len(doc["transitions"]))
     text = json.dumps(doc, indent=2)
-    return [text + "\n", json.dumps({**doc, "transitions": rows}, indent=2),
+    return [text + "\n", text.replace("\n", "\r\n"),
+            json.dumps({**doc, "transitions": rows}, indent=2),
             json.dumps(doc), json.dumps(doc, indent=2, ensure_ascii=False),
             json.dumps({k: doc[k] for k in keys}, indent=2),
             json.dumps({k: doc[k] for k in sorted(doc, key=lambda k: k != "transitions")},
@@ -396,8 +399,76 @@ def test_saved_models_decode_a_slice_at_a_time(tmp_path, monkeypatch):
         text = (tmp_path / "m.json").read_text(encoding="utf-8")
         for chars in SLICES:
             monkeypatch.setattr(automata, "_SLICE_CHARS", chars)
-            b = automata._decode_streamed(text, "m.json")
+            b = automata._decode_streamed(io.StringIO(text), "m.json")
             assert (b, list(b.transitions.items())) == (a, list(a.transitions.items()))
+
+
+class CountedReads(io.StringIO):
+    """A text file that records the size of every read."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.reads: list[int] = []
+
+    def read(self, n=-1):
+        self.reads.append(n)
+        return super().read(n)
+
+
+def test_reads_can_end_anywhere(tmp_path, monkeypatch):
+    # Multi-byte names (so that the decoder's byte chunks end inside a character),
+    # CRLF line ends (so that a read can end between "\r" and "\n") and a states
+    # header many slices long: the streamed decode itself gives the whole-document
+    # model, whichever way the text divides into reads.
+    names = ["\u00e9t\u00e4t", "\u6bb5\u968e", "\U0001f600", "\u03a9" * 40]
+    states = tuple(f"{names[i % 4]}{i}" for i in range(400))
+    a = Automaton("m\u00e9", Alphabet((("a", True), ("b", False))), states,
+                  {(q, e): states[(i + k) % 400] for i, q in enumerate(states)
+                   for k, e in enumerate("ab") if (i + k) % 3},
+                  states[0], states[::7])
+    save_automaton(a, tmp_path / "m.json")
+    saved = (tmp_path / "m.json").read_text(encoding="utf-8")
+    doc = automaton_to_dict(a)
+    texts = [saved, saved.replace("\n", "\r\n"), json.dumps(doc, indent=2, ensure_ascii=False),
+             json.dumps(doc, indent=2, ensure_ascii=False).replace("\n", "\r\n")]
+    assert len(json.dumps(doc["states"], ensure_ascii=False)) > 10 * 64
+    path = tmp_path / "t.json"
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        expected = load_outcome(load_whole, path)
+        assert expected[0] == a
+        for chars in SLICES:
+            monkeypatch.setattr(automata, "_SLICE_CHARS", chars)
+            assert load_outcome(load_automaton, path) == expected, chars
+            with open(path, encoding="utf-8") as fh:
+                b = automata._decode_streamed(fh, str(path))
+            assert (b, list(b.transitions.items())) == expected
+    # A read is one slice, or as long as the text held: a field or a row cut short
+    # is read again in a number of reads logarithmic in its length.
+    monkeypatch.setattr(automata, "_SLICE_CHARS", 1)
+    header = CountedReads(saved[:saved.index('"transitions"')] + '"transitions": []}')
+    assert automata._decode_streamed(header, "m.json").states == states
+    assert len(header.reads) < 100 < len(header.getvalue()) // 100
+
+
+def test_deep_header_value_in_a_long_file(tmp_path, monkeypatch):
+    # A header value nested past the recursion limit, in a file longer than one
+    # slice at every size: the streamed decode raises the RecursionError, after
+    # reading as much as it needs and no more, and the loader gives the
+    # whole-document diagnostic.
+    text = json.dumps(MODEL, indent=2)
+    rows = text.index('  "transitions"')
+    depth = automata._SLICE_CHARS // 2 + 1
+    for deep in ("[" * depth + "]" * depth, '[{"k": ' * depth + "1" + "}]" * depth):
+        deep_text = text[:rows] + '  "notes": ' + deep + ",\n" + text[rows:]
+        (tmp_path / "m.json").write_text(deep_text, encoding="utf-8")
+        for chars in SLICES:
+            monkeypatch.setattr(automata, "_SLICE_CHARS", chars)
+            fh = io.StringIO(deep_text)
+            with pytest.raises(RecursionError):
+                automata._decode_streamed(fh, "m.json")
+            assert fh.tell() < len(deep_text)
+        assert_loads_as_whole([deep_text], tmp_path, monkeypatch)
 
 
 def test_rows_in_any_order_load_in_the_canonical_order(tmp_path, monkeypatch):

@@ -1,6 +1,6 @@
 import pytest
 
-from desctl import espec, fms
+from desctl import PARTITIONS, espec, fms
 from desctl.automata import Automaton, load_automaton
 from desctl.control import check_nonconflicting
 from desctl.espec import equivalent
@@ -53,6 +53,19 @@ class TestPartitions:
         alph = fms.build_total("sec2").alphabet
         assert set(alph.uncontrollable) == {
             "C1.load", "C2.load", "C3.load", "A.done1", "A.done2"}
+
+    @pytest.mark.parametrize("call", [
+        lambda p: fms.build("C1", p), lambda p: fms.build_supervisor(1, p),
+        lambda p: fms.build_total(p), lambda p: fms.apply_partition(fms.build("C1"), p),
+    ], ids=["build", "build_supervisor", "build_total", "apply_partition"])
+    def test_unknown_partition(self, call):
+        with pytest.raises(ValueError, match=r"^unknown partition 'x'$"):
+            call("x")
+        with pytest.raises(ValueError, match=r"^unknown partition \['sec2'\]$"):
+            call(["sec2"])
+
+    def test_partitions_are_the_shipped_ones(self):
+        assert tuple(fms._UNCONTROLLABLE) == PARTITIONS
 
     def test_apply_partition_round_trip(self):
         g = fms.build_total()
