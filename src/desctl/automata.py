@@ -501,20 +501,30 @@ def _add_slice(edges: Transitions, text: str) -> None:
         raise ValueError("not a slice of rows")
 
 
+def _more(fh, s: str, keep: int) -> str | None:
+    """``s[keep:]`` and the next read of ``fh``: one slice or, if longer, as many
+    characters as ``s[keep:]``, so a field or row cut short costs reads logarithmic in
+    its length; None at the end of the file."""
+    s = s[keep:]
+    return s + more if (more := fh.read(max(_SLICE_CHARS, len(s)))) else None
+
+
 def _decode_rows(fh, s: str, edges: Transitions) -> tuple[str, int]:
     """Add the rows of the array that ``s`` starts, and ``fh`` goes on, to ``edges``, a
-    slice at a time; the text held and the index past the array in it."""
-    # ``s`` starts at the "[", then at the "," before the next row.  A read is one
-    # slice, or as long as the text held when that holds no row's end.
+    slice at a time; the rest of the file and the index past the array in it."""
+    # ``s`` starts at the "[", then at the "," before the next row.  A cut does not
+    # show where the array ends, so the file is read to its end.
     while True:
         if (cut := s.rfind("},\n")) > 0:
             _add_slice(edges, f"[{s[1:cut + 1]}]")
             s = s[cut + 1:]
-        held = len(s)
-        s += fh.read(max(_SLICE_CHARS, held))
-        if len(s) == held:
+        if (more := _more(fh, s, 0)) is None:
             break
+        s = more
     if s.startswith(","):
+        # The last cut may be a trailing comma, which JSON does not allow.
+        if s.startswith("]", _skip(s, 1).end()):
+            raise ValueError("a comma after the last row")
         s = "[" + s[1:]
     rows, idx = _scan(s, 0)  # the rest of the file, in place
     if not _add_rows(edges, map(_row_names, rows)):
@@ -539,8 +549,8 @@ def _decode_streamed(fh, where: str) -> Automaton:
         except (ValueError, StopIteration):
             complete = False
         if not complete:
-            if more := fh.read(max(_SLICE_CHARS, len(s) - idx)):
-                s, idx = s[idx:] + more, 0
+            if (more := _more(fh, s, idx)) is not None:
+                s, idx = more, 0
                 continue
             key, value, end = _field(s, idx, sep)
         if key is None:
@@ -557,11 +567,9 @@ def _decode_streamed(fh, where: str) -> Automaton:
         idx, sep = end, ","
     if fields is None:
         raise ValueError("no rows")
-    while _skip(s, end).end() == len(s):
-        if not (s := fh.read(_SLICE_CHARS)):
-            return Automaton(**fields)
-        end = 0
-    raise ValueError("data after the object")
+    if _skip(s, end).end() < len(s):  # the rows were read to the end of the file
+        raise ValueError("data after the object")
+    return Automaton(**fields)
 
 
 def load_automaton(path) -> Automaton:

@@ -507,13 +507,17 @@ def test_loader_on_broken_texts(tmp_path, monkeypatch):
     # Which container overflows the decoder's recursion sets the message.
     mixed = '[{"k": ' * 50_000 + "1" + "}]" * 50_000
     header = json.dumps(MODEL, indent=2)[:-2] + ","
+    # A comma after the last row, where a slice of rows can end.
+    assert text.endswith("    }\n  ]\n}")
+    comma = text[:-6] + ",\n  ]\n}"
     assert_loads_as_whole(
         [text[:n] for n in range(0, len(text), 7)]
         + ["", " ", "{}", "[]", "null", "\ufeff" + text, text[:-2] + ",\n}",
            '{"name": ' + deep + "}", header + '\n  "events": ' + deep + "}",
            '{"name": ' + mixed + "}", '{"name": [' + mixed + "]}",
            text.replace('"to": ', '"to": ' + deep + ", ", 1),
-           text.replace('"to": ', '"to": ' + mixed + ", ", 1)],
+           text.replace('"to": ', '"to": ' + mixed + ", ", 1),
+           comma, comma.replace("\n", "\r\n"), comma.replace(",\n  ]", ",\n\n]")],
         tmp_path, monkeypatch)
 
 

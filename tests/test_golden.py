@@ -208,10 +208,9 @@ def test_loading_the_kd1_supervisor_shares_names(kd1_supervisor, tmp_path):
 
 
 def test_loading_the_kd1_supervisor_decodes_rows_a_slice_at_a_time(kd1_supervisor, tmp_path):
-    # The 8.4 MB file decoded as one document, a dict and three strings per row,
-    # before any row is converted, peaks at about 31.6 MB; read whole and decoded a
-    # slice of rows at a time, at about 17.2 MB; read and decoded a 256 KiB slice
-    # at a time, at about 4.4 MB, of which the loaded model holds 2.0 MB.
+    # The 8.4 MB file, read and decoded a 256 KiB slice at a time, peaks at about
+    # 4.4 MB, of which the loaded model holds 2.0 MB; a loader that held the whole
+    # file's text would exceed the bound on that alone.
     path = tmp_path / "sup.json"
     save_automaton(kd1_supervisor, path)
     tracemalloc.start()
