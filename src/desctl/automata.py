@@ -19,9 +19,9 @@ import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import and_, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import InputError
@@ -171,16 +171,19 @@ class Automaton:
 
     def trim(self) -> "Automaton":
         """Accessible and coaccessible part; empty automaton if nothing survives."""
-        out = self.out
+        out, n = self.out, len(self.out)
+        if self.start is None:
+            return empty_automaton(self.name, self.alphabet)
         # Every successor of a reachable state is reachable, so coreachability
         # within the accessible part is plain coreachability.
-        keep = (reachable(lambda q: out[q][1::2], () if self.start is None else (self.start,))
-                & reachable(predecessors(out).__getitem__, self.marked_ids))
-        if self.start not in keep:
+        keep = bytes(map(and_, reachable(lambda q: out[q][1::2], (self.start,), n),
+                         reachable(predecessors(out).__getitem__, self.marked_ids, n)))
+        if not keep[self.start]:
             return empty_automaton(self.name, self.alphabet)
-        return from_nodes(self.name, self.alphabet, {q: self.states[q] for q in sorted(keep)},
+        return from_nodes(self.name, self.alphabet,
+                          {q: self.states[q] for q in compress(range(n), keep)},
                           lambda q: pairs(out[q]), self.start,
-                          (q for q in map(self.index.get, self.marked) if q in keep))
+                          (q for q in map(self.index.get, self.marked) if keep[q]))
 
     def renamed(self, name: str) -> "Automaton":
         return replace(self, name=name)
@@ -285,10 +288,10 @@ def explore(start, step: Callable) -> tuple[list, dict, Optional[tuple]]:
     return order, parent, None
 
 
-def path_to(parent, node) -> tuple:
-    """The events from the start to ``node`` in :func:`explore` or ``compose.product``.
+def path_to(parent: dict, node) -> tuple:
+    """The events from the start to ``node`` in the ``parent`` dict of :func:`explore`.
 
-    ``parent[node]`` is ``(previous node, event)``, None at the start; a dict or a list.
+    ``parent[node]`` is ``(previous node, event)``, None at the start.
     """
     path = []
     while parent[node] is not None:
@@ -307,14 +310,17 @@ def predecessors(out: list, events=None) -> list:
     return preds
 
 
-def reachable(step: Callable, starts: Iterable) -> set:
-    """Nodes reachable from ``starts``, where ``step(node)`` lists the next nodes."""
-    seen = set(starts)
-    todo = list(seen)
+def reachable(step: Callable, starts: Iterable[int], n: int) -> bytearray:
+    """One flag per node 0..n-1, set for the nodes reachable from ``starts``, where
+    ``step(node)`` lists the next nodes."""
+    seen = bytearray(n)
+    todo = list(starts)
+    for q in todo:
+        seen[q] = 1
     while todo:
         for p in step(todo.pop()):
-            if p not in seen:
-                seen.add(p)
+            if not seen[p]:
+                seen[p] = 1
                 todo.append(p)
     return seen
 
@@ -468,14 +474,26 @@ _SLICE_CHARS = 1 << 18
 _scan = json.JSONDecoder().scan_once
 _skip = json.decoder.WHITESPACE.match
 _ROWS = object()  # the value :func:`_field` gives for a transitions array
+# Longer than any literal (-Infinity) or escaped pair (\ud83d\ude00) that a read can
+# cut short: a decode error further from the end of the text held is not a cut.
+_CUT_CHARS = 16
 
 
 def _past(s: str, idx: int, token: str) -> int:
     """The index past ``token``, which follows ``s[idx]`` and any whitespace."""
     idx = _skip(s, idx).end()
     if not s.startswith(token, idx):
-        raise ValueError(f"expected {token!r}")
+        raise json.JSONDecodeError(f"Expecting {token!r}", s, idx)
     return idx + len(token)
+
+
+def _cut_short(exc: Exception, s: str) -> bool:
+    """Can the end of ``s`` have caused ``exc``, an error of :func:`_field` on ``s``?
+
+    Only an unterminated string, or an error within ``_CUT_CHARS`` of the end."""
+    if isinstance(exc, StopIteration):  # the scanner found no value at ``exc.value``
+        return exc.value >= len(s) - _CUT_CHARS
+    return exc.msg.startswith("Unterminated string") or exc.pos >= len(s) - _CUT_CHARS
 
 
 def _field(s: str, idx: int, sep: str) -> tuple:
@@ -541,12 +559,15 @@ def _decode_streamed(fh, where: str) -> Automaton:
     """
     doc, fields, s, idx, sep = {}, None, "", 0, "{"
     while True:
-        # A field that fails or ends at the end of the text held may be cut short:
-        # it is tried again from its start with more text, unless the file has ended.
+        # A field that ends at the end of the text held, or fails where a cut can
+        # make it fail, may be cut short: it is tried again from its start with
+        # more text, unless the file has ended.  Any other error is final.
         try:
             key, value, end = _field(s, idx, sep)
             complete = end < len(s)
-        except (ValueError, StopIteration):
+        except (json.JSONDecodeError, StopIteration) as exc:
+            if not _cut_short(exc, s):
+                raise
             complete = False
         if not complete:
             if (more := _more(fh, s, idx)) is not None:

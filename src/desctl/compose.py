@@ -111,26 +111,25 @@ def product(automata: Sequence[Automaton], alphabet: Alphabet):
 
     Shared events synchronize and private ones interleave; ``alphabet`` fixes
     the event order and so the breadth-first order of the product states.
-    Every component needs an initial state.  Returns ``(nodes, parent,
-    succ)``: the tuple of component state indices of each node, the list of
-    parent pointers (``(i, event)`` per node, None for node 0) that
-    :func:`~desctl.automata.path_to` follows, and the out-edges of each node
-    as one flat list ``[event, j, event, j, ...]`` in alphabet order, events
-    by rank in ``alphabet``.
+    Every component needs an initial state.  Returns ``(nodes, succ)``: the
+    tuple of component state indices of each node, and the out-edges of each
+    node as one flat list ``[event, j, event, j, ...]`` in alphabet order,
+    events by rank in ``alphabet``.  The nodes are numbered in the order in
+    which :func:`~desctl.automata.explore` discovers them with the step rule
+    of :func:`successors`, so a search stopped at node ``i`` finds its path.
     """
     step = successors(automata, alphabet)
-    nodes, parent, succ = [tuple(a.start for a in automata)], [None], []
+    nodes, succ = [tuple(a.start for a in automata)], []
     ids = {nodes[0]: 0}
-    for i, node in enumerate(nodes):  # the queue; nodes past i are discovered, not expanded
+    for node in nodes:  # the queue; nodes past the current one are discovered, not expanded
         edges = []
         for e, tgt in step(node):
             if (j := ids.get(tgt)) is None:
                 ids[tgt] = j = len(nodes)
                 nodes.append(tgt)
-                parent.append((i, e))
             edges += e, j
         succ.append(edges)
-    return nodes, parent, succ
+    return nodes, succ
 
 
 def free_delimiter(automata: Sequence[Automaton]) -> str:
@@ -161,7 +160,6 @@ def parallel(automata: Sequence[Automaton], delimiter: str = "|") -> Automaton:
                 raise ComposeError(
                     f"state name {q!r} of {a.name!r} contains the delimiter {delimiter!r}"
                 )
-    nodes, parent, succ = product(automata, alphabet)
-    del parent  # only witnesses need it; freed before the states are named
+    nodes, succ = product(automata, alphabet)
     return from_lists(name, alphabet, map(joined(automata, delimiter), nodes), succ, 0,
                       compress(range(len(nodes)), map(all_marked(automata), nodes)))

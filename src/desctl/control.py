@@ -9,11 +9,12 @@ supervisor enable it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, count
+from operator import and_, gt
 from typing import Optional, Sequence
 
 from .automata import (Automaton, InputError, empty_automaton, explore, from_nodes, pairs,
-                       path_to, predecessors, prober, reachable, spelled)
+                       predecessors, prober, reachable, spelled)
 from .compose import all_marked, free_delimiter, joined, parallel, product, successors
 
 
@@ -115,21 +116,30 @@ def check_nonconflicting(plant: Automaton, sups: Sequence[Automaton]) -> Conflic
     Explores the product of the plant and every supervisor on tuples of
     component states, without building the closed-loop automaton.  On
     conflict, reports a shortest string reaching a state from which no
-    marked state is reachable, ties broken by plant-alphabet order.
+    marked state is reachable, ties broken by plant-alphabet order; the
+    product keeps no parent pointers, so a second breadth-first search,
+    stopped at the first such state, spells it.
     """
     components = [plant] + list(sups)
     for s in components[1:]:
         _require_subalphabet(plant, s)
     if any(a.start is None for a in components):
         return ConflictReport(False, (), 0)
-    nodes, parent, succ = product(components, plant.alphabet)
-    marked = compress(range(len(nodes)), map(all_marked(components), nodes))
-    coreach = reachable(predecessors(succ).__getitem__, marked)
-    for i in range(len(nodes)):  # breadth-first order, so i + 1 nodes are checked
-        if i not in coreach:
-            return ConflictReport(False, spelled(plant.alphabet.events, path_to(parent, i)),
-                                  i + 1)
-    return ConflictReport(True, None, len(nodes))
+    nodes, succ = product(components, plant.alphabet)
+    marked = list(compress(range(len(nodes)), map(all_marked(components), nodes)))
+    del nodes  # not held through the backward search
+    n = len(succ)
+    blocking = reachable(predecessors(succ).__getitem__, marked, n).find(0)
+    del succ  # nor through the witness search
+    if blocking < 0:
+        return ConflictReport(True, None, n)
+    # explore with the same step rule discovers the states in the product's
+    # numbering, so stopped at the expansion of state ``blocking`` it spells a
+    # shortest string to it, and blocking + 1 states are checked.
+    step, expanded = successors(components, plant.alphabet), count()
+    _, _, witness = explore(tuple(a.start for a in components),
+                            lambda node: None if next(expanded) == blocking else step(node))
+    return ConflictReport(False, spelled(plant.alphabet.events, witness), blocking + 1)
 
 
 def supcon(plant: Automaton, spec: Automaton) -> Automaton:
@@ -148,30 +158,34 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     if plant.start is None or spec.start is None:
         return empty_automaton(name, plant.alphabet)
 
-    nodes, _, succ = product([plant, spec], plant.alphabet)
-    marked = set(compress(range(len(nodes)), map(all_marked([plant, spec]), nodes)))
+    nodes, succ = product([plant, spec], plant.alphabet)
+    n, states = len(nodes), range(len(nodes))
+    marked = bytes(map(all_marked([plant, spec]), nodes))
     preds = predecessors(succ)
     upreds = predecessors(succ, set(map(plant.alphabet.rank.get, plant.alphabet.uncontrollable)))
-    good = set(range(len(nodes)))
+    good = bytearray(b"\1") * n
     first = _first_disabled(plant, spec)
-    removed = {i for i, q in enumerate(nodes) if first(*q) is not None}
+    removed = [i for i, q in enumerate(nodes) if first(*q) is not None]
     while True:
         # The attractor stops at states deleted in earlier rounds: their
         # uncontrollable predecessors were deleted with them.
-        removed = reachable(upreds.__getitem__, removed) & good
-        good -= removed
+        removed = list(compress(states, map(and_, reachable(upreds.__getitem__, removed, n),
+                                            good)))
         for q in removed:  # a deleted state leaves the graph
-            preds[q] = upreds[q] = ()
+            good[q] = 0
+            preds[q] = upreds[q] = succ[q] = ()
         # Blocking: no marked state is reachable within good.
-        removed = good - reachable(preds.__getitem__, marked & good)
+        coreach = reachable(preds.__getitem__, compress(states, map(and_, marked, good)), n)
+        removed = list(compress(states, map(gt, good, coreach)))
         if not removed:
             break
     del preds, upreds
-    if 0 not in good:
+    if not good[0]:
         return empty_automaton(name, plant.alphabet)
-    reach = reachable(lambda i: good.intersection(succ[i][1::2]), [0])
+    # A deleted state has no out-edges left, so the reach does not pass it.
+    reach = list(compress(states, map(and_, reachable(lambda i: succ[i][1::2], [0], n), good)))
     name_of = joined([plant, spec], "|")
     if len({name_of(nodes[i]) for i in reach}) < len(reach):
         name_of = joined([plant, spec], free_delimiter([plant, spec]))
-    return from_nodes(name, plant.alphabet, {i: name_of(nodes[i]) for i in sorted(reach)},
-                      lambda i: pairs(succ[i]), 0, sorted(reach & marked))
+    return from_nodes(name, plant.alphabet, {i: name_of(nodes[i]) for i in reach},
+                      lambda i: pairs(succ[i]), 0, (i for i in reach if marked[i]))

@@ -451,6 +451,22 @@ def test_reads_can_end_anywhere(tmp_path, monkeypatch):
     assert len(header.reads) < 100 < len(header.getvalue()) // 100
 
 
+def test_a_bad_header_field_ends_the_streamed_decode_at_once(tmp_path, monkeypatch):
+    # An error that no cut can cause, far from the end of the first read, is
+    # final: the streamed decode raises after that read instead of reading the
+    # file to its end, and the loader gives the whole-document diagnostic.
+    save_automaton(fms.build_total(), tmp_path / "m.json")
+    saved = (tmp_path / "m.json").read_text(encoding="utf-8")
+    assert saved.startswith('{\n  "name": "G",') and len(saved) > 3 * automata._SLICE_CHARS
+    for bad in ('"name": x"', '"name" "G"', '"name": "G",,', '"name": "G"]'):
+        text = saved.replace('"name": "G",', bad, 1)
+        fh = CountedReads(text)
+        with pytest.raises((ValueError, StopIteration)):
+            automata._decode_streamed(fh, "m.json")
+        assert fh.reads == [automata._SLICE_CHARS], bad
+        assert_loads_as_whole([text], tmp_path, monkeypatch)
+
+
 def test_deep_header_value_in_a_long_file(tmp_path, monkeypatch):
     # A header value nested past the recursion limit, in a file longer than one
     # slice at every size: the streamed decode raises the RecursionError, after

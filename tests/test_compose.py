@@ -1,4 +1,5 @@
 import random
+from itertools import count
 
 import pytest
 
@@ -148,17 +149,33 @@ def test_successors_rejects_an_event_that_no_component_declares():
 
 
 def test_product_matches_the_closed_loop_oracle():
-    # The numbering, the flat out-edge lists and the parent list, named, against
-    # a search over raw transition dicts, on the cell and seeded modular systems.
+    # The numbering and the flat out-edge lists, named, against a search over raw
+    # transition dicts, on the cell and seeded modular systems.  explore with the
+    # same step rule discovers the states in the product's numbering, and stopped
+    # at the expansion of state i it finds the oracle's path to state i: the
+    # nonconflict check spells its witness so.
     rng = random.Random(17)
     cases = [(fms.build_total(), [fms.build_supervisor(1), fms.build_supervisor(2)])]
     cases += [random_modular_system(rng) for _ in range(300)]
     for plant, sups in cases:
-        nodes, parent, succ = product([plant, *sups], plant.alphabet)
+        components = [plant, *sups]
+        nodes, succ = product(components, plant.alphabet)
         _depth, edges, paths = explore_closed_loop(plant, sups, 10 ** 9)
         events = plant.alphabet.events
-        nodes = [tuple(a.states[q] for a, q in zip([plant, *sups], node)) for node in nodes]
-        assert nodes == list(paths)  # breadth-first discovery order
-        for i, node in enumerate(nodes):
-            assert [(events[e], nodes[j]) for e, j in pairs(succ[i])] == edges.get(node, [])
-            assert spelled(events, path_to(parent, i)) == paths[node]
+        named = [tuple(a.states[q] for a, q in zip(components, node)) for node in nodes]
+        assert named == list(paths)  # breadth-first discovery order
+        for i, node in enumerate(named):
+            assert [(events[e], named[j]) for e, j in pairs(succ[i])] == edges.get(node, [])
+        step = successors(components, plant.alphabet)
+        order, parent, _ = explore(nodes[0], step)
+        assert order == nodes
+        for node, name in zip(nodes, named):
+            assert spelled(events, path_to(parent, node)) == paths[name]
+        # Every stop on the seeded systems (at most 96 states), 13 on the cell's 11,520.
+        n = len(nodes)
+        for i in range(n) if n <= 96 else [*range(0, n, 997), n - 1]:
+            expanded = count()
+            order, _, witness = explore(
+                nodes[0], lambda node: None if next(expanded) == i else step(node))
+            assert len(order) == i + 1 and order[i] == nodes[i]
+            assert spelled(events, witness) == paths[named[i]]

@@ -6,7 +6,7 @@ import pytest
 
 from desctl import fms
 from desctl.automata import Alphabet, Automaton, is_sublanguage
-from desctl.compose import parallel
+from desctl.compose import parallel, product
 from desctl.control import (AlphabetError, check_controllability, check_nonconflicting,
                             closed_loop, supcon)
 from desctl.espec import equivalent
@@ -171,6 +171,41 @@ class TestNonconflicting:
             # Breadth-first order over a, b, c is the oracle's (depth, path) order.
             assert report.counterexample == witness
 
+    def test_conflict_discovered_last_in_a_large_product(self):
+        # The only blocking state of a 5,041-state product is the last one
+        # discovered, so the witness search runs through the whole product.
+        plant, sup = grid_with_one_deadlock(71)
+        nodes, _ = product([plant, sup], plant.alphabet)
+        assert len(nodes) == 71 * 71 and nodes[-1] == (70, 70)
+        report = check_nonconflicting(plant, [sup])
+        assert not report.nonconflicting
+        assert report.states_checked == len(nodes)
+        verdict, witness = nonblocking_oracle(plant, [sup], 10 ** 6)
+        assert not verdict and report.counterexample == witness
+        assert len(witness) == 140
+
+
+def grid_with_one_deadlock(k: int):
+    """A plant counting a's and a supervisor counting b's, each to k - 1.
+
+    Every state is marked below the top count.  A component at the top count
+    resets with its own event (ra, rb), which the other allows below its top.
+    So the product is the k x k grid and only the corner (k - 1, k - 1) blocks.
+    """
+    top = k - 1
+    alph = Alphabet((("a", True), ("b", True), ("ra", True), ("rb", True)))
+    ps = tuple(f"p{i}" for i in range(k))
+    pt = {(ps[i], "b"): ps[i] for i in range(k)}
+    pt.update({(ps[i], "a"): ps[i + 1] for i in range(top)})
+    pt.update({(ps[i], "rb"): ps[i] for i in range(top)})
+    pt[(ps[top], "ra")] = ps[0]
+    ss = tuple(f"s{j}" for j in range(k))
+    st = {(ss[j], "b"): ss[j + 1] for j in range(top)}
+    st.update({(ss[j], "ra"): ss[j] for j in range(top)})
+    st[(ss[top], "rb")] = ss[0]
+    return (Automaton("p", alph, ps, pt, ps[0], ps[:top]),
+            Automaton("s", Alphabet(alph.entries[1:]), ss, st, ss[0], ss[:top]))
+
 
 def deep_chains(depth: int):
     """A = a^depth u and B = a^depth, all states marked; u is uncontrollable."""
@@ -223,10 +258,12 @@ def test_trim_of_a_trim_automaton_copies_it_once(plant, sups):
 
 def test_product_searches_store_each_state_s_out_edges_flat(plant, sups):
     # The product of G, S1 and S2 has 11,520 states and 96,448 edges.  With
-    # one flat [event, number, ...] list per state the check peaks at 7.8 MB
-    # and the closed loop at 17.8 MB; an (event, number) tuple per edge adds
-    # about 4.7 MB to each, which these bounds do not allow.
-    for search, bound in ((check_nonconflicting, 10), (closed_loop, 20)):
+    # one flat [event, number, ...] list per state the check peaks at 4.9 MiB
+    # and the closed loop at 5.6 MiB.  An (event, number) tuple per edge adds
+    # about 4.4 MiB to each, and a parent pointer per state, with the state
+    # tuples kept to the end, takes the check to 7.1 MiB; these bounds allow
+    # neither.
+    for search, bound in ((check_nonconflicting, 6), (closed_loop, 8)):
         tracemalloc.start()
         try:
             search(plant, sups)
