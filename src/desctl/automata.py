@@ -258,44 +258,56 @@ def from_nodes(name: str, alphabet: Alphabet, names: dict, edges: Callable,
 
 # -- breadth-first search ------------------------------------------------
 
-def explore(start, step: Callable) -> tuple[list, dict, Optional[tuple]]:
-    """Breadth-first search from ``start`` with one parent pointer per node.
+def explore(start, step: Callable) -> tuple[list, list, Optional[tuple]]:
+    """Breadth-first search from ``start``, numbering nodes 0, 1, ... as it finds them.
 
     ``step(node)`` returns the out-edges of ``node`` as ``(event, target)``
     pairs in tie-break order.  It returns None when the node itself violates
     the property; a ``target`` of None marks a violation on that event.
 
-    Returns ``(order, parent, witness)``: the expanded nodes in BFS order,
-    ``parent[t] = (node, event)`` for every discovered node (None for
-    ``start``), and the events of a shortest violating string (None if there
-    is none).  The search stops at the first violation, so ``len(order)``
-    counts the nodes checked either way.
+    Returns ``(nodes, succ, witness)``: the nodes by number, the out-edges of
+    each expanded node ``i`` as one flat list ``succ[i] = [event, j, ...]``
+    in step order, and the events of a shortest violating string (None if
+    there is none), spelled from ``succ`` by :func:`path_to`.  The search
+    stops at the first violation, so ``len(nodes)`` counts the nodes checked
+    either way.
     """
-    order = [start]  # the queue; nodes past index i are discovered, not expanded
-    parent: dict = {start: None}
-    for i, node in enumerate(order):
+    nodes, succ, ids = [start], [], {start: 0}
+    for node in nodes:  # the queue; nodes past len(succ) are discovered, not expanded
         edges = step(node)
         if edges is None:
-            del order[i + 1:]
-            return order, parent, path_to(parent, node)
+            del nodes[len(succ) + 1:]
+            return nodes, succ, path_to(succ, len(succ))
+        row = []
         for e, t in edges:
             if t is None:
-                del order[i + 1:]
-                return order, parent, path_to(parent, node) + (e,)
-            if t not in parent:
-                parent[t] = (node, e)
-                order.append(t)
-    return order, parent, None
+                del nodes[len(succ) + 1:]
+                return nodes, succ, path_to(succ, len(succ)) + (e,)
+            if (j := ids.get(t)) is None:
+                ids[t] = j = len(nodes)
+                nodes.append(t)
+            row += e, j
+        succ.append(row)
+    return nodes, succ, None
 
 
-def path_to(parent: dict, node) -> tuple:
-    """The events from the start to ``node`` in the ``parent`` dict of :func:`explore`.
+def path_to(succ: list, i: int) -> tuple:
+    """The events by which :func:`explore` first reached node ``i``, from its rows ``succ``.
 
-    ``parent[node]`` is ``(previous node, event)``, None at the start.
+    The numbering is breadth-first, so the first edge into each node is the
+    first in row order whose target is the next number not yet seen.
     """
+    via, seen = [], 1  # via[j - 1]: the node and event of the first edge into j
+    for p, row in enumerate(succ):
+        if seen > i:
+            break
+        for e, t in pairs(row):
+            if t == seen:
+                via.append((p, e))
+                seen += 1
     path = []
-    while parent[node] is not None:
-        node, e = parent[node]
+    while i:
+        i, e = via[i - 1]
         path.append(e)
     return tuple(reversed(path))
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 from itertools import compress
 from typing import Sequence
 
-from .automata import (Alphabet, Automaton, InputError, empty_automaton, from_lists, pairs,
-                       prober)
+from .automata import (Alphabet, Automaton, InputError, empty_automaton, explore, from_lists,
+                       pairs, prober)
 
 
 class ComposeError(InputError):
@@ -111,25 +111,13 @@ def product(automata: Sequence[Automaton], alphabet: Alphabet):
 
     Shared events synchronize and private ones interleave; ``alphabet`` fixes
     the event order and so the breadth-first order of the product states.
-    Every component needs an initial state.  Returns ``(nodes, succ)``: the
-    tuple of component state indices of each node, and the out-edges of each
-    node as one flat list ``[event, j, event, j, ...]`` in alphabet order,
-    events by rank in ``alphabet``.  The nodes are numbered in the order in
-    which :func:`~desctl.automata.explore` discovers them with the step rule
-    of :func:`successors`, so a search stopped at node ``i`` finds its path.
+    Every component needs an initial state.  Returns ``(nodes, succ)`` of
+    :func:`~desctl.automata.explore` with the step rule of :func:`successors`:
+    the tuple of component state indices of each node, and the out-edges of
+    each node as one flat list ``[event, j, event, j, ...]`` in alphabet
+    order, events by rank in ``alphabet``.
     """
-    step = successors(automata, alphabet)
-    nodes, succ = [tuple(a.start for a in automata)], []
-    ids = {nodes[0]: 0}
-    for node in nodes:  # the queue; nodes past the current one are discovered, not expanded
-        edges = []
-        for e, tgt in step(node):
-            if (j := ids.get(tgt)) is None:
-                ids[tgt] = j = len(nodes)
-                nodes.append(tgt)
-            edges += e, j
-        succ.append(edges)
-    return nodes, succ
+    return explore(tuple(a.start for a in automata), successors(automata, alphabet))[:2]
 
 
 def free_delimiter(automata: Sequence[Automaton]) -> str:

@@ -9,12 +9,12 @@ supervisor enable it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress, count
+from itertools import compress
 from operator import and_, gt
 from typing import Optional, Sequence
 
 from .automata import (Automaton, InputError, empty_automaton, explore, from_nodes, pairs,
-                       predecessors, prober, reachable, spelled)
+                       path_to, predecessors, prober, reachable, spelled)
 from .compose import all_marked, free_delimiter, joined, parallel, product, successors
 
 
@@ -116,9 +116,10 @@ def check_nonconflicting(plant: Automaton, sups: Sequence[Automaton]) -> Conflic
     Explores the product of the plant and every supervisor on tuples of
     component states, without building the closed-loop automaton.  On
     conflict, reports a shortest string reaching a state from which no
-    marked state is reachable, ties broken by plant-alphabet order; the
-    product keeps no parent pointers, so a second breadth-first search,
-    stopped at the first such state, spells it.
+    marked state is reachable, ties broken by plant-alphabet order: the
+    product's numbering is breadth-first, so that is the first blocking
+    state, and :func:`~desctl.automata.path_to` spells it from the
+    product's own out-edge lists.
     """
     components = [plant] + list(sups)
     for s in components[1:]:
@@ -130,16 +131,10 @@ def check_nonconflicting(plant: Automaton, sups: Sequence[Automaton]) -> Conflic
     del nodes  # not held through the backward search
     n = len(succ)
     blocking = reachable(predecessors(succ).__getitem__, marked, n).find(0)
-    del succ  # nor through the witness search
     if blocking < 0:
         return ConflictReport(True, None, n)
-    # explore with the same step rule discovers the states in the product's
-    # numbering, so stopped at the expansion of state ``blocking`` it spells a
-    # shortest string to it, and blocking + 1 states are checked.
-    step, expanded = successors(components, plant.alphabet), count()
-    _, _, witness = explore(tuple(a.start for a in components),
-                            lambda node: None if next(expanded) == blocking else step(node))
-    return ConflictReport(False, spelled(plant.alphabet.events, witness), blocking + 1)
+    return ConflictReport(False, spelled(plant.alphabet.events, path_to(succ, blocking)),
+                          blocking + 1)
 
 
 def supcon(plant: Automaton, spec: Automaton) -> Automaton:

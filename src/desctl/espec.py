@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from .automata import (Alphabet, Automaton, InputError, empty_automaton, explore, from_lists,
-                       from_nodes, pairs, prober, spelled)
+                       from_nodes, pairs, prober, reachable, spelled)
 
 RESERVED = {"pc"}
 # Groups nest at most this deep.  The parser and the passes over the AST
@@ -269,19 +270,17 @@ def _subset_construct(ast: Expr, alphabet: Alphabet) -> Automaton:
     nullable, first, last = _positions(ast, alphabet, events, follow)
     follow[0].update(first)
     last = frozenset(last + [0] if nullable else last)
-    succ: dict[frozenset[int], list[tuple[int, frozenset[int]]]] = {}
 
     def step(subset):
         targets: dict[int, set[int]] = defaultdict(set)
         for p in subset:
             for q in follow[p]:
                 targets[events[q]].add(q)
-        succ[subset] = [(e, frozenset(targets[e])) for e in sorted(targets)]
-        return succ[subset]
+        return [(e, frozenset(targets[e])) for e in sorted(targets)]
 
-    order, _, _ = explore(frozenset({0}), step)
-    return from_nodes("spec", alphabet, {s: f"d{i}" for i, s in enumerate(order)},
-                      succ.__getitem__, order[0], (s for s in order if not last.isdisjoint(s)))
+    nodes, succ, _ = explore(frozenset({0}), step)
+    return from_lists("spec", alphabet, (f"d{i}" for i in range(len(nodes))), succ, 0,
+                      (i for i, s in enumerate(nodes) if not last.isdisjoint(s)))
 
 
 def minimize(a: Automaton) -> Automaton:
@@ -298,7 +297,7 @@ def minimize(a: Automaton) -> Automaton:
     out, n = a.out, len(a.states)
     # Unreachable states are refined too: a state's block depends only on its
     # future, so they do not change the blocks of the reachable ones.
-    reach = sorted(explore(a.start, lambda q: pairs(out[q]))[0])
+    reach = compress(range(n), reachable(lambda q: out[q][1::2], (a.start,), n))
     # preds[t] packs each transition (p, e) -> t as e * n + p.
     preds: list[list[int]] = [[] for _ in range(n)]
     for p, row in enumerate(out):

@@ -531,7 +531,10 @@ def supcon_oracle(plant: Automaton, spec: Automaton) -> set[str]:
 
 
 def nonblocking_oracle(plant: Automaton, sups, max_depth: int):
-    """(verdict, shortest string to a blocking configuration or None)."""
+    """(verdict, shortest string to a blocking configuration or None).
+
+    Ties between strings of equal length are broken by plant-alphabet order.
+    """
     sups = list(sups)
     depth, edges, paths = explore_closed_loop(plant, sups, max_depth)
 
@@ -554,7 +557,8 @@ def nonblocking_oracle(plant: Automaton, sups, max_depth: int):
     blocking = [c for c in depth if c not in coreach]
     if not blocking:
         return True, None
-    worst = min(blocking, key=lambda c: (depth[c], paths[c]))
+    worst = min(blocking, key=lambda c: (depth[c],
+                                         tuple(map(plant.alphabet.rank.__getitem__, paths[c]))))
     return False, paths[worst]
 
 

@@ -9,6 +9,11 @@ A keyword argument ``transitions=`` to the constructor is not a read.
 
 Corpus knowledge is kept in one module too: no event id of the reference
 corpus appears in a ``desctl`` module other than ``desctl.fms``.
+
+There is one ordered search: ``desctl.automata.explore`` is the only loop in
+the package that takes items in the order it adds them (a ``for`` loop over a
+list it grows, or a ``while`` loop taking from the front of one), and every
+product, witness and subset construction is a call to it.
 """
 
 import ast
@@ -49,7 +54,7 @@ def test_only_automata_reads_the_transition_map(path):
 
 
 # The completion events the simulator counts are the one corpus fact left in a
-# generic module; ROADMAP item 4 leaves moving them to desctl.fms open.
+# generic module; ROADMAP item 6 leaves moving them to desctl.fms open.
 CORPUS_EXCEPTIONS = {("sim.py", 'COMPLETION_EVENTS = {"1": "A.done1", "2": "A.done2"}')}
 
 
@@ -72,3 +77,92 @@ def test_the_corpus_scan_finds_whole_ids():
 def test_corpus_event_ids_stay_in_fms(path):
     found = corpus_event_lines(path.read_text(encoding="utf-8"))
     assert [line for line in found if (path.name, line) not in CORPUS_EXCEPTIONS] == []
+
+
+def queue_loops(source: str) -> list[str]:
+    """The functions of ``source`` with a breadth-first queue ("?" for one outside
+    a function): a loop that takes items in the order it adds them to a name.
+
+    That is a ``for`` loop over a name, or over ``enumerate`` of it, or a ``while``
+    loop on a name whose body takes from its front (``popleft()`` or ``pop(0)``),
+    where the body grows that name by ``append``, ``extend`` or ``+=``.  A stack,
+    which pops from the back, is not a queue.
+    """
+    found = []
+
+    def attr_call(n, name, attrs):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr in attrs and getattr(n.func.value, "id", None) == name)
+
+    def grows(n, name):
+        return attr_call(n, name, ("append", "extend")) or (
+            isinstance(n, ast.AugAssign) and getattr(n.target, "id", None) == name)
+
+    def from_front(n, name):
+        return attr_call(n, name, ("popleft",)) or (
+            attr_call(n, name, ("pop",)) and len(n.args) == 1
+            and isinstance(n.args[0], ast.Constant) and n.args[0].value == 0)
+
+    def walked(loop):
+        if isinstance(loop, ast.While):
+            return loop.test.id if isinstance(loop.test, ast.Name) else None
+        it = loop.iter
+        if isinstance(it, ast.Call) and getattr(it.func, "id", None) == "enumerate" and it.args:
+            it = it.args[0]
+        return it.id if isinstance(it, ast.Name) else None
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.For, ast.While)) and (name := walked(child)) is not None:
+                body = [n for stmt in child.body for n in ast.walk(stmt)]
+                if any(grows(n, name) for n in body) and (
+                        isinstance(child, ast.For) or any(from_front(n, name) for n in body)):
+                    found.append(function)
+            visit(child, function)
+
+    visit(ast.parse(source), "?")
+    return found
+
+
+def test_the_queue_scan_finds_loops_that_take_what_they_add_in_order():
+    source = ("def bfs(start, step):\n"
+              "    order = [start]\n"
+              "    for node in order:\n"
+              "        for t in step(node):\n"
+              "            if t not in order:\n"
+              "                order.append(t)\n"
+              "def numbered(start, step):\n"
+              "    order = [start]\n"
+              "    for i, node in enumerate(order):\n"
+              "        order.extend(step(node))\n"
+              "def summed(start, step):\n"
+              "    order = [start]\n"
+              "    for node in order:\n"
+              "        order += step(node)\n"
+              "def fifo(q, step):\n"
+              "    while q:\n"
+              "        q.append(step(q.popleft()))\n"
+              "def front(q, step):\n"
+              "    while q:\n"
+              "        node = q.pop(0)\n"
+              "        q += step(node)\n"
+              "def copy(xs, ys):\n"
+              "    for x in xs:\n"
+              "        ys.append(x)\n"
+              "    while xs:\n"
+              "        xs.append(xs.pop())\n"
+              "    while ys:\n"
+              "        ys.extend(ys.pop(-1))\n"
+              "    while xs:\n"
+              "        ys.append(xs.popleft())\n"
+              "for q in todo:\n"
+              "    todo.append(q)\n")
+    assert queue_loops(source) == ["bfs", "numbered", "summed", "fifo", "front", "?"]
+
+
+def test_explore_is_the_only_breadth_first_queue():
+    found = {p.name: queue_loops(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    assert {name: f for name, f in found.items() if f} == {"automata.py": ["explore"]}

@@ -150,10 +150,11 @@ def test_successors_rejects_an_event_that_no_component_declares():
 
 def test_product_matches_the_closed_loop_oracle():
     # The numbering and the flat out-edge lists, named, against a search over raw
-    # transition dicts, on the cell and seeded modular systems.  explore with the
-    # same step rule discovers the states in the product's numbering, and stopped
-    # at the expansion of state i it finds the oracle's path to state i: the
-    # nonconflict check spells its witness so.
+    # transition dicts, on the cell and seeded modular systems.  path_to reads the
+    # oracle's path to state i from the product's lists: the nonconflict check
+    # spells its witness so.  explore stopped at the expansion of state i finds
+    # the same path.  path_to follows the first edge into each state, taken in
+    # row order, so those edges are checked against the oracle for every state.
     rng = random.Random(17)
     cases = [(fms.build_total(), [fms.build_supervisor(1), fms.build_supervisor(2)])]
     cases += [random_modular_system(rng) for _ in range(300)]
@@ -166,13 +167,22 @@ def test_product_matches_the_closed_loop_oracle():
         assert named == list(paths)  # breadth-first discovery order
         for i, node in enumerate(named):
             assert [(events[e], named[j]) for e, j in pairs(succ[i])] == edges.get(node, [])
-        step = successors(components, plant.alphabet)
-        order, parent, _ = explore(nodes[0], step)
-        assert order == nodes
-        for node, name in zip(nodes, named):
-            assert spelled(events, path_to(parent, node)) == paths[name]
-        # Every stop on the seeded systems (at most 96 states), 13 on the cell's 11,520.
         n = len(nodes)
+        via = {}  # via[j]: the row and event of the first edge into state j
+        for p, row in enumerate(succ):
+            for e, j in pairs(row):
+                if j and j not in via:
+                    via[j] = (p, e)
+        assert list(via) == list(range(1, n))  # new numbers first appear in order
+        for j, (p, e) in via.items():
+            assert paths[named[j]] == paths[named[p]] + (events[e],)
+        # path_to itself on every state of the seeded systems (at most 96 states)
+        # and on 120 of the cell's 11,520: each call scans the lists up to the
+        # state, so all of them would cost time quadratic in the states.
+        for i in range(n) if n <= 96 else [*range(0, n, 97), n - 1]:
+            assert spelled(events, path_to(succ, i)) == paths[named[i]]
+        # Every stop on the seeded systems, 13 on the cell.
+        step = successors(components, plant.alphabet)
         for i in range(n) if n <= 96 else [*range(0, n, 997), n - 1]:
             expanded = count()
             order, _, witness = explore(

@@ -168,7 +168,17 @@ class TestNonconflicting:
             report = check_nonconflicting(plant, [sup])
             verdict, witness = nonblocking_oracle(plant, [sup], 10 ** 6)
             assert report.nonconflicting == verdict
-            # Breadth-first order over a, b, c is the oracle's (depth, path) order.
+            assert report.counterexample == witness
+        # Modular systems whose plant alphabet is declared out of name order: ties
+        # between blocking strings of equal length go by plant-alphabet order.
+        for _ in range(60):
+            events = rng.sample(["a", "b", "c"], 3)
+            plant = random_automaton(rng, events, name="p")
+            sups = [random_automaton(rng, rng.sample(events, rng.randint(1, 3)), 4, f"s{k}_")
+                    for k in range(rng.randint(1, 2))]
+            report = check_nonconflicting(plant, sups)
+            verdict, witness = nonblocking_oracle(plant, sups, 10 ** 6)
+            assert report.nonconflicting == verdict
             assert report.counterexample == witness
 
     def test_conflict_discovered_last_in_a_large_product(self):
@@ -262,11 +272,15 @@ def test_product_searches_store_each_state_s_out_edges_flat(plant, sups):
     # and the closed loop at 5.6 MiB.  An (event, number) tuple per edge adds
     # about 4.4 MiB to each, and a parent pointer per state, with the state
     # tuples kept to the end, takes the check to 7.1 MiB; these bounds allow
-    # neither.
-    for search, bound in ((check_nonconflicting, 6), (closed_loop, 8)):
+    # neither.  A conflict's witness is read from the same lists: on the
+    # 5,041-state grid whose last state blocks, the check peaks at 1.6 MiB.
+    grid = grid_with_one_deadlock(71)
+    for search, args, bound in ((check_nonconflicting, (plant, sups), 6),
+                                (closed_loop, (plant, sups), 8),
+                                (check_nonconflicting, (grid[0], grid[1:]), 6)):
         tracemalloc.start()
         try:
-            search(plant, sups)
+            search(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
