@@ -26,7 +26,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import InputError
 
-EVENT_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9._]*\Z")
+# The syntax of an event id, in model files and in spec expressions alike.
+EVENT_ID = r"[A-Za-z][A-Za-z0-9._]*"
+EVENT_ID_RE = re.compile(EVENT_ID + r"\Z")
 
 
 class BadQueryError(InputError):

@@ -104,6 +104,14 @@ def cmd_compose(models, output, delim):
                f"-> {output}")
 
 
+def _compile_spec_file(path: str, alphabet) -> Automaton:
+    """The spec in file ``path``, compiled over ``alphabet`` and named after its stem."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return _lazy.espec.compile_text(text, alphabet,
+                                    name=os.path.splitext(os.path.basename(path))[0])
+
+
 @main.command("compile-spec")
 @click.argument("spec", type=click.Path(exists=True, dir_okay=False))
 @click.option("--alphabet", "alphabet_model", required=True,
@@ -112,11 +120,7 @@ def cmd_compose(models, output, delim):
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 def cmd_compile_spec(spec, alphabet_model, output):
     """Compile a spec expression file to a minimal trim automaton."""
-    alphabet = _lazy.load_automaton(alphabet_model).alphabet
-    with open(spec, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    compiled = _lazy.espec.compile_text(text, alphabet,
-                                        name=os.path.splitext(os.path.basename(spec))[0])
+    compiled = _compile_spec_file(spec, _lazy.load_automaton(alphabet_model).alphabet)
     _lazy.save_automaton(compiled, output)
     click.echo(f"{len(compiled.states)} states -> {output}")
 
@@ -224,11 +228,7 @@ def cmd_check_conflict(plant, sups, as_json):
 def cmd_synth(plant, spec_path, output):
     """Synthesize the supremal controllable supervisor for a spec."""
     plant_a = _lazy.load_automaton(plant)
-    with open(spec_path, "r", encoding="utf-8") as fh:
-        spec_a = _lazy.espec.compile_text(
-            fh.read(), plant_a.alphabet,
-            name=os.path.splitext(os.path.basename(spec_path))[0])
-    result = _lazy.supcon(plant_a, spec_a)
+    result = _lazy.supcon(plant_a, _compile_spec_file(spec_path, plant_a.alphabet))
     _lazy.save_automaton(result, output)
     note = " (empty: no controllable behavior)" if result.is_empty else ""
     click.echo(f"{len(result.states)} states -> {output}{note}")

@@ -1,12 +1,15 @@
 """Regular-language specification expressions and their compilation to DFAs.
 
 Grammar (star binds tighter than concatenation, which binds tighter than
-union; whitespace is insignificant, ``#`` starts a line comment)::
+union; spaces, tabs and line breaks are insignificant, ``#`` starts a line
+comment)::
 
     expr   := term ('+' term)*
     term   := factor+
     factor := atom '*'?
     atom   := IDENT | '(' expr ')' | 'pc' '(' expr ')'
+
+IDENT is an event id, by the rule of model files (``automata.EVENT_ID``).
 
 ``pc(x)`` denotes the prefix closure of ``x``.  Compilation builds
 Glushkov's position automaton (one state per event leaf, no epsilon moves),
@@ -18,25 +21,31 @@ and its marked language is the expression's denotation.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
 
-from .automata import (Alphabet, Automaton, InputError, empty_automaton, explore, from_lists,
-                       from_nodes, pairs, prober, reachable, spelled)
+from .automata import (EVENT_ID, Alphabet, Automaton, InputError, empty_automaton, explore,
+                       from_lists, from_nodes, pairs, prober, reachable, spelled)
 
-RESERVED = {"pc"}
 # Groups nest at most this deep.  The parser and the passes over the AST
 # recurse a few frames per level, so much deeper input overflows the stack.
 MAX_NESTING = 100
 
 
 class SpecSyntaxError(InputError):
-    def __init__(self, message: str, line: int, col: int):
-        self.line = line
-        self.col = col
-        super().__init__(f"{line}:{col}: {message}")
+    """A syntax error at character ``offset`` of the spec text.
+
+    ``line`` and ``col`` count from 1; ``col`` counts characters, comments
+    included.
+    """
+
+    def __init__(self, message: str, text: str, offset: int):
+        self.line = text.count("\n", 0, offset) + 1
+        self.col = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{self.line}:{self.col}: {message}")
 
 
 class UnknownEventError(InputError):
@@ -102,91 +111,79 @@ def leaves(ast: Expr) -> list[str]:
 
 # -- parser ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT | + | * | ( | ) | EOF
-    value: str
-    line: int
-    col: int
+# One token: blanks and comments are skipped, then the token is an operator
+# (group 1), an event id (group 2), any other character (group 3, a syntax
+# error) or the end of the text (no group).  The blanks are space, tab, CR and
+# LF only; other Unicode spaces, such as U+00A0, are unexpected characters.
+_TOKEN = re.compile(rf"(?:[ \t\r\n]|#[^\n]*)*(?:([+*()])|({EVENT_ID})|(.)|\Z)")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "+*()":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-        elif ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-        else:
-            raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, value, offset)`` per token, ending with ``("EOF", "", len(text))``.
+
+    ``kind`` is ``IDENT`` for an event id (``pc`` included) and the character
+    itself for an operator.  The first unexpected character raises.
+    """
+    tokens = []
+    # Every position starts a match, so the matches cover the text.
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group is None:
+            tokens.append(("EOF", "", len(text)))
+            return tokens
+        value, offset = m.group(group), m.start(group)
+        if group == 3:
+            raise SpecSyntaxError(f"unexpected character {value!r}", text, offset)
+        tokens.append((value if group == 1 else "IDENT", value, offset))
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def take(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            what = "end of input" if tok.kind == "EOF" else repr(tok.value)
-            raise SpecSyntaxError(f"expected {kind}, found {what}", tok.line, tok.col)
+    def expected(self, what: str) -> SpecSyntaxError:
+        """The error that ``what`` was expected at the current token."""
+        kind, value, offset = self.tokens[self.pos]
+        found = "end of input" if kind == "EOF" else repr(value)
+        return SpecSyntaxError(f"expected {what}, found {found}", self.text, offset)
+
+    def take(self, kind: str) -> None:
+        if self.kind() != kind:
+            raise self.expected(kind)
         self.pos += 1
-        return tok
 
     def expr(self) -> Expr:
         terms = [self.term()]
-        while self.peek().kind == "+":
+        while self.kind() == "+":
             self.take("+")
             terms.append(self.term())
         return terms[0] if len(terms) == 1 else Union(tuple(terms))
 
     def term(self) -> Expr:
         factors = [self.factor()]
-        while self.peek().kind in ("IDENT", "("):
+        while self.kind() in ("IDENT", "("):
             factors.append(self.factor())
         return factors[0] if len(factors) == 1 else Concat(tuple(factors))
 
     def factor(self) -> Expr:
         atom = self.atom()
-        if self.peek().kind != "*":
+        if self.kind() != "*":
             return atom
-        while self.peek().kind == "*":  # x** denotes the same language as x*
+        while self.kind() == "*":  # x** denotes the same language as x*
             self.take("*")
         return Star(atom)
 
-    def group(self, opening: _Token) -> Expr:
-        """``'(' expr ')'``, where ``opening`` is the token that opens the group."""
+    def group(self, opening: int) -> Expr:
+        """``'(' expr ')'``, where ``opening`` is the offset of the token that opens it."""
         if self.depth == MAX_NESTING:
             raise SpecSyntaxError(f"groups nested deeper than {MAX_NESTING} levels",
-                                  opening.line, opening.col)
+                                  self.text, opening)
         self.depth += 1
         self.take("(")
         inner = self.expr()
@@ -195,22 +192,23 @@ class _Parser:
         return inner
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "(":
-            return self.group(tok)
-        if tok.kind == "IDENT":
-            self.take("IDENT")
-            if tok.value == "pc":
-                return PrefClose(self.group(tok))
-            return Sym(tok.value)
-        what = "end of input" if tok.kind == "EOF" else repr(tok.value)
-        raise SpecSyntaxError(f"expected an event id or '(', found {what}",
-                              tok.line, tok.col)
+        kind, value, offset = self.tokens[self.pos]
+        if kind == "(":
+            return self.group(offset)
+        if kind != "IDENT":
+            raise self.expected("an event id or '('")
+        self.pos += 1
+        return PrefClose(self.group(offset)) if value == "pc" else Sym(value)
 
 
 def parse(text: str) -> Expr:
-    """Parse one spec expression; raises SpecSyntaxError with line/column."""
-    parser = _Parser(_tokenize(text))
+    """Parse one spec expression.
+
+    Event ids follow the rule of model files (``automata.EVENT_ID``), and
+    ``pc`` is reserved.  Errors raise SpecSyntaxError located at a line and
+    a column of ``text``.
+    """
+    parser = _Parser(text)
     ast = parser.expr()
     parser.take("EOF")
     return ast

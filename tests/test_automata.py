@@ -71,6 +71,10 @@ class TestAlphabet:
         with pytest.raises(ModelFormatError):
             Alphabet(((bad, True),))
 
+    def test_flag_of_an_unknown_event_is_a_bad_query(self):
+        with pytest.raises(BadQueryError):
+            fms.build_total().alphabet.is_controllable("zz")
+
     def test_partition_is_exhaustive_and_disjoint(self):
         alph = fms.build_total().alphabet
         c, uc = set(alph.controllable), set(alph.uncontrollable)

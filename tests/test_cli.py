@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desctl import automata, fms
+from desctl import automata, cli, fms
 from desctl.automata import ModelFormatError, load_automaton
 from desctl.cli import main
 from desctl.control import closed_loop
@@ -121,6 +121,16 @@ class TestCompileSpecAndEquivalent:
         assert result.exit_code == 1
         assert "not equivalent" in result.output
 
+    @pytest.mark.parametrize("model_b, output", [
+        ("S1.json", "\x1b[32mequivalent\x1b[0m\n"),
+        ("S2.json", "\x1b[31mnot equivalent: "),
+    ], ids=["green", "red"])
+    def test_verdict_in_colour(self, runner, corpus, monkeypatch, model_b, output):
+        monkeypatch.setattr(cli, "_use_color", lambda: True)
+        result = runner.invoke(main, ["equivalent", str(corpus / "S1.json"),
+                                      str(corpus / model_b)], color=True)
+        assert result.output.startswith(output)
+
     def test_json_output_is_deterministic(self, runner, corpus):
         args = ["equivalent", "--json", str(corpus / "S1.json"),
                 str(corpus / "S2.json")]
@@ -137,6 +147,22 @@ class TestCompileSpecAndEquivalent:
             "--alphabet", str(corpus / "G_total.json"),
             "-o", str(tmp_path / "o.json")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("é", "1:1: unexpected character 'é'"),
+        ("a²", "1:2: unexpected character '²'"),
+        ("pc(a #c", "1:8: expected ), found end of input"),
+    ], ids=["e-acute", "superscript-two", "comment-columns"])
+    @pytest.mark.parametrize("command", ["compile-spec", "synth"])
+    def test_syntax_error_is_located(self, runner, corpus, tmp_path, command, text, message):
+        spec, plant = tmp_path / "bad.expr", str(corpus / "G_total.json")
+        out = str(tmp_path / "o.json")
+        spec.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, {
+            "compile-spec": ["compile-spec", str(spec), "--alphabet", plant, "-o", out],
+            "synth": ["synth", "--plant", plant, "--spec", str(spec), "-o", out]}[command])
+        assert result.exit_code == 2
+        assert result.stderr == f"desctl: {message}\n"
 
 
 class TestMinimize:
@@ -409,7 +435,8 @@ def _model_text(draw) -> str:
 
 
 _SPEC_TOKENS = st.sampled_from(["a", "b", "c", "(", ")", "+", "*", "pc(", "pc", "#", " ",
-                                "\n", "1", ".", ")(", "a.b", "é", "\t"])
+                                "\n", "1", ".", ")(", "a.b", "é", "\t", "²", "Ω", "\xa0",
+                                "\u2028"])
 
 
 def _assert_contract(result) -> None:

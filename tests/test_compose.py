@@ -96,6 +96,11 @@ def test_projection_containment_in_component_language():
             assert walk_generated(b, project(w, b.alphabet))
 
 
+def test_composition_of_nothing_rejected():
+    with pytest.raises(ComposeError):
+        parallel([])
+
+
 def test_controllability_disagreement_rejected():
     a = Automaton("a", Alphabet((("go", True),)), ("a0",), {}, "a0", ("a0",))
     b = Automaton("b", Alphabet((("go", False),)), ("b0",), {}, "b0", ("b0",))

@@ -5,11 +5,12 @@ import tracemalloc
 import pytest
 
 from desctl import fms
-from desctl.automata import Alphabet, Automaton, is_sublanguage
+from desctl.automata import Alphabet, Automaton, empty_automaton, is_sublanguage
 from desctl.compose import parallel, product
-from desctl.control import (AlphabetError, check_controllability, check_nonconflicting,
-                            closed_loop, supcon)
-from desctl.espec import equivalent
+from desctl.control import (AlphabetError, ConflictReport, check_controllability,
+                            check_nonconflicting, closed_loop, supcon)
+from desctl.espec import equivalent, minimize
+from desctl.sim import Random, replay, run
 from oracles import (enumerate_violations, nonblocking_oracle,
                      random_automaton, supcon_oracle, validate)
 
@@ -27,6 +28,27 @@ def plant_alt():
 @pytest.fixture(scope="module")
 def sups():
     return (fms.build_supervisor(1), fms.build_supervisor(2))
+
+
+# Each operation given the canonical empty automaton E over the plant G's
+# alphabet: the call and the result it must return.
+G = fms.build_total()
+E = empty_automaton("E", G.alphabet)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: equivalent(E, E), (True, None)),
+    (lambda: equivalent(G, E), (False, ())),
+    (lambda: equivalent(E, G), (False, ())),
+    (lambda: is_sublanguage(G, E), (False, ())),
+    (lambda: check_nonconflicting(G, [E]), ConflictReport(False, (), 0)),
+    (lambda: supcon(G, E), empty_automaton("G|E", G.alphabet)),
+    (lambda: minimize(E), E),
+    (lambda: replay(E, [], run(G, [], Random(0), 3)), False),
+], ids=["equivalent-E-E", "equivalent-G-E", "equivalent-E-G", "is_sublanguage-G-E",
+        "check_nonconflicting", "supcon", "minimize", "replay"])
+def test_an_empty_operand(call, expected):
+    assert call() == expected
 
 
 def toy_plant():

@@ -1,11 +1,14 @@
 import random
+import string
 import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from desctl import espec, fms
-from desctl.automata import Alphabet, Automaton
+from desctl.automata import EVENT_ID_RE, Alphabet, Automaton
 from desctl.espec import (Concat, Epsilon, PrefClose, SpecSyntaxError, Star, Sym,
                           Union, UnknownEventError, compile_text, equivalent,
                           minimize, parse)
@@ -124,6 +127,40 @@ class TestParse:
 
     def test_repeated_star_is_one_star(self):
         assert parse("a***") == Star(Sym("a"))
+
+    def test_epsilon_has_no_leaves(self):
+        assert espec.leaves(Epsilon()) == []
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: Concat((Sym("a"),)), ValueError),
+        (lambda: Union((Sym("a"),)), ValueError),
+        (lambda: espec._positions(espec.Expr(), ABC, [], []), TypeError),
+    ], ids=["concat-of-one", "union-of-one", "unknown-node"])
+    def test_malformed_ast_rejected(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    # ASCII id characters, non-ASCII letters and digits, and a non-ASCII space.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=st.text(string.ascii_letters + string.digits + "._é²Ω\xa0", max_size=6))
+    def test_event_ids_follow_the_model_file_rule(self, text):
+        if EVENT_ID_RE.match(text) and text != "pc":
+            assert parse(text) == Sym(text)
+        else:
+            with pytest.raises(SpecSyntaxError):
+                parse(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("é", "1:1: unexpected character 'é'"),
+        ("a²", "1:2: unexpected character '²'"),
+        ("pc(a #c", "1:8: expected ), found end of input"),  # the comment's columns count
+        ("a\n b # x\n )", "3:2: expected EOF, found ')'"),
+    ], ids=["e-acute", "superscript-two", "comment-columns", "comment-lines"])
+    def test_error_names_its_line_and_column(self, text, message):
+        with pytest.raises(SpecSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == message
+        assert f"{err.value.line}:{err.value.col}:" == message.split(" ")[0]
 
 
 class TestCompile:

@@ -128,6 +128,11 @@ class TestRandom:
         assert walk_generated(loop, word)
 
 
+def test_unknown_policy_rejected(plant):
+    with pytest.raises(TypeError):
+        run(plant, [], object(), 3)
+
+
 class TestReplay:
     def test_tampered_configuration_detected(self, plant, sups):
         report = run(plant, sups, Random(3), 20)
