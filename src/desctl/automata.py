@@ -303,10 +303,10 @@ def path_to(succ: list, i: int) -> tuple:
     for p, row in enumerate(succ):
         if seen > i:
             break
-        for e, t in pairs(row):
-            if t == seen:
-                via.append((p, e))
-                seen += 1
+        targets = row[1::2]
+        while seen in targets:
+            via.append((p, row[2 * targets.index(seen)]))
+            seen += 1
     path = []
     while i:
         i, e = via[i - 1]
@@ -314,13 +314,12 @@ def path_to(succ: list, i: int) -> tuple:
     return tuple(reversed(path))
 
 
-def predecessors(out: list, events=None) -> list:
-    """``preds[t]``: the sources of the edges into ``t`` (on ``events`` if given)."""
+def predecessors(out: list) -> list:
+    """``preds[t]``: the sources of the edges into ``t``."""
     preds: list = [[] for _ in out]
     for q, row in enumerate(out):
-        for e, t in pairs(row):
-            if events is None or e in events:
-                preds[t].append(q)
+        for t in row[1::2]:
+            preds[t].append(q)
     return preds
 
 

@@ -43,12 +43,10 @@ def _fail(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _use_color() -> bool:
-    return os.environ.get("DESCTL_COLOR", "1") != "0" and sys.stdout.isatty()
-
-
 def _verdict(message: str, ok: bool) -> None:
-    if _use_color():
+    # DESCTL_COLOR=0 turns the styling off; click.secho itself drops it when
+    # stdout is not a terminal.
+    if os.environ.get("DESCTL_COLOR", "1") != "0":
         click.secho(message, fg="green" if ok else "red")
     else:
         click.echo(message)

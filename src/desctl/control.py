@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import compress
-from operator import and_, gt
+from operator import and_
 from typing import Optional, Sequence
 
-from .automata import (Automaton, InputError, empty_automaton, explore, from_nodes, pairs,
-                       path_to, predecessors, prober, reachable, spelled)
+from .automata import (Automaton, InputError, empty_automaton, explore, from_lists, from_nodes,
+                       pairs, path_to, predecessors, prober, reachable, spelled)
 from .compose import all_marked, free_delimiter, joined, parallel, product, successors
 
 
@@ -140,47 +140,125 @@ def check_nonconflicting(plant: Automaton, sups: Sequence[Automaton]) -> Conflic
 def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     """Supremal controllable sublanguage of plant || spec, as a trim automaton.
 
-    A fixpoint of two backward searches over predecessor lists built once:
-    the uncontrollable attractor of the states that disable an uncontrollable
-    plant event, then the states that cannot reach a marked one, one round
-    per alternation.  The forward reach runs once, at the end.  States join
-    component names with ``|``, or with :func:`~desctl.compose.free_delimiter`
-    if two names would collide.  Returns the canonical empty automaton when
-    nothing survives.
+    A call costs one product search, one pass over the product's edges, and
+    then work in proportion to the states it deletes.  The states that disable
+    an uncontrollable plant event, or reach no marked state, start the
+    fixpoint; each round deletes a list of states with their uncontrollable
+    attractor (:func:`_attracted`) and hands on the states that this leaves
+    blocking (:func:`_unwitnessed`).  A product that needs no pruning is
+    returned as it is, its numbering and edge lists unchanged; otherwise a
+    forward reach keeps the surviving states.  States join component names
+    with ``|``, or with :func:`~desctl.compose.free_delimiter` if two names
+    would collide.  Returns the canonical empty automaton when nothing survives.
     """
     _require_subalphabet(plant, spec)
-    name = f"{plant.name}|{spec.name}"
+    components, name = [plant, spec], f"{plant.name}|{spec.name}"
     if plant.start is None or spec.start is None:
         return empty_automaton(name, plant.alphabet)
 
-    nodes, succ = product([plant, spec], plant.alphabet)
-    n, states = len(nodes), range(len(nodes))
-    marked = bytes(map(all_marked([plant, spec]), nodes))
-    preds = predecessors(succ)
-    upreds = predecessors(succ, set(map(plant.alphabet.rank.get, plant.alphabet.uncontrollable)))
-    good = bytearray(b"\1") * n
+    nodes, succ = product(components, plant.alphabet)
+    n = len(nodes)
+    marked = bytes(map(all_marked(components), nodes))
+    uncontrollable = set(map(plant.alphabet.rank.get, plant.alphabet.uncontrollable))
+    preds, upreds = [[] for _ in succ], [[] for _ in succ]
+    for q, row in enumerate(succ):
+        for e, t in pairs(row):
+            preds[t].append(q)
+            if e in uncontrollable:
+                upreds[t].append(q)
+    wit = _witnesses(preds, compress(range(n), marked))
     first = _first_disabled(plant, spec)
-    removed = [i for i, q in enumerate(nodes) if first(*q) is not None]
-    while True:
-        # The attractor stops at states deleted in earlier rounds: their
-        # uncontrollable predecessors were deleted with them.
-        removed = list(compress(states, map(and_, reachable(upreds.__getitem__, removed, n),
-                                            good)))
-        for q in removed:  # a deleted state leaves the graph
-            good[q] = 0
-            preds[q] = upreds[q] = succ[q] = ()
-        # Blocking: no marked state is reachable within good.
-        coreach = reachable(preds.__getitem__, compress(states, map(and_, marked, good)), n)
-        removed = list(compress(states, map(gt, good, coreach)))
-        if not removed:
-            break
-    del preds, upreds
-    if not good[0]:
+    doomed = [i for i, q in enumerate(nodes) if wit[i] < 0 or first(*q) is not None]
+    pruned = bool(doomed)
+    good = bytearray(b"\1") * n
+    while doomed:
+        doomed = _unwitnessed(_attracted(doomed, good, upreds, succ), good, wit, preds, succ)
+    del preds, upreds, wit
+    if not pruned:  # reachable, controllable and trim as it is
+        kept = range(n)
+    elif good[0]:
+        # A deleted state has no out-edges left, so the reach does not pass it.
+        kept = list(compress(range(n), map(and_, reachable(lambda i: succ[i][1::2], [0], n),
+                                           good)))
+    else:
         return empty_automaton(name, plant.alphabet)
-    # A deleted state has no out-edges left, so the reach does not pass it.
-    reach = list(compress(states, map(and_, reachable(lambda i: succ[i][1::2], [0], n), good)))
-    name_of = joined([plant, spec], "|")
-    if len({name_of(nodes[i]) for i in reach}) < len(reach):
-        name_of = joined([plant, spec], free_delimiter([plant, spec]))
-    return from_nodes(name, plant.alphabet, {i: name_of(nodes[i]) for i in reach},
-                      lambda i: pairs(succ[i]), 0, (i for i in reach if marked[i]))
+    names = list(map(joined(components, "|"), map(nodes.__getitem__, kept)))
+    if len(set(names)) < len(names):
+        names = list(map(joined(components, free_delimiter(components)),
+                         map(nodes.__getitem__, kept)))
+    if not pruned:
+        return from_lists(name, plant.alphabet, names, succ, 0, compress(range(n), marked))
+    return from_nodes(name, plant.alphabet, dict(zip(kept, names)), lambda i: pairs(succ[i]),
+                      0, (i for i in kept if marked[i]))
+
+
+def _witnesses(preds: list, marked) -> list:
+    """``wit[q]``: a successor of ``q`` on a path to a ``marked`` state, ``q`` itself
+    for a marked state, or -1 if ``q`` reaches none; ``preds`` lists each state's
+    predecessors."""
+    wit = [-1] * len(preds)
+    todo = list(marked)
+    for q in todo:
+        wit[q] = q
+    while todo:
+        q = todo.pop()
+        for p in preds[q]:
+            if wit[p] < 0:
+                wit[p] = q
+                todo.append(p)
+    return wit
+
+
+def _attracted(seeds: list, good: bytearray, upreds: list, succ: list) -> list:
+    """Delete the ``good`` states among ``seeds``, and every good state with an
+    uncontrollable path into them; the states deleted, in no particular order.
+
+    A deleted state's flag is cleared and its out-edges emptied.  The search
+    stops at states deleted before: their uncontrollable predecessors went with them.
+    """
+    todo = []
+    for q in seeds:
+        if good[q]:
+            good[q] = 0
+            todo.append(q)
+    deleted = []
+    while todo:
+        q = todo.pop()
+        deleted.append(q)
+        succ[q] = ()
+        for p in upreds[q]:
+            if good[p]:
+                good[p] = 0
+                todo.append(p)
+    return deleted
+
+
+def _unwitnessed(deleted: list, good: bytearray, wit: list, preds: list, succ: list) -> list:
+    """The good states that can no longer reach a marked state once ``deleted`` are.
+
+    Only the states whose witness chain ran into a deleted state are looked at
+    (flagged 2 while they are): each takes a good successor outside them as
+    its new witness if it has one, and the states that reach it within them
+    follow it.  The rest keep their flag 2 and are returned.
+    """
+    lost, todo = [], list(deleted)
+    while todo:
+        q = todo.pop()
+        for p in preds[q]:
+            if good[p] == 1 and wit[p] == q:
+                good[p] = 2
+                lost.append(p)
+                todo.append(p)
+    for q in lost:
+        for t in succ[q][1::2]:
+            if good[t] == 1:
+                wit[q], good[q] = t, 1
+                todo.append(q)
+                break
+    while todo:
+        q = todo.pop()
+        for p in preds[q]:
+            if good[p] == 2:
+                wit[p], good[p] = q, 1
+                todo.append(p)
+    return [q for q in lost if good[q] == 2]

@@ -10,6 +10,9 @@ A keyword argument ``transitions=`` to the constructor is not a read.
 Corpus knowledge is kept in one module too: no event id of the reference
 corpus appears in a ``desctl`` module other than ``desctl.fms``.
 
+A round of ``desctl.control.supcon``'s fixpoint costs the states it touches:
+no pass over all product states runs inside the fixpoint loop.
+
 There is one ordered search: ``desctl.automata.explore`` is the only loop in
 the package that takes items in the order it adds them (a ``for`` loop over a
 list it grows, or a ``while`` loop taking from the front of one), and every
@@ -166,3 +169,86 @@ def test_the_queue_scan_finds_loops_that_take_what_they_add_in_order():
 def test_explore_is_the_only_breadth_first_queue():
     found = {p.name: queue_loops(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
     assert {name: f for name, f in found.items() if f} == {"automata.py": ["explore"]}
+
+
+# The names that ``control.supcon`` gives its arrays with one item per product
+# state, and ``n``, their length.
+PER_STATE = {"states", "nodes", "succ", "preds", "upreds", "marked", "good", "wit", "n"}
+WHOLE_PASSES = {"range", "compress", "enumerate"}
+
+
+def fixpoint_passes(source: str, function: str) -> list[str]:
+    """The passes over all states in the fixpoint loop of ``function`` in ``source``.
+
+    The fixpoint loop is the function's one ``while`` loop, and the scan follows
+    it into each function of ``source`` that it calls by name.  A pass is a call
+    of ``range``, ``compress`` or ``enumerate``, or a use of a ``PER_STATE`` name
+    other than an index (``good[q]``, ``preds.__getitem__``) or an argument to a
+    function the scan follows.
+    """
+    tree = ast.parse(source)
+    defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    loops = [node for node in ast.walk(defs[function]) if isinstance(node, ast.While)]
+    assert len(loops) == 1, f"{function} has {len(loops)} while loops, not one"
+    found, followed = [], set()
+
+    def scan(node):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in WHOLE_PASSES:
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in defs:
+            if node.func.id not in followed:
+                followed.add(node.func.id)
+                scan(defs[node.func.id])
+            for arg in node.args + [k.value for k in node.keywords]:
+                if getattr(arg, "id", None) not in PER_STATE:
+                    scan(arg)
+        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+            scan(node.slice)
+        elif isinstance(node, ast.Attribute) and node.attr == "__getitem__":
+            pass
+        elif isinstance(node, ast.Name) and node.id in PER_STATE:
+            if not isinstance(node.ctx, ast.Store):
+                found.append(node.id)
+        else:
+            for child in ast.iter_child_nodes(node):
+                scan(child)
+
+    scan(loops[0])
+    return found
+
+
+def test_the_fixpoint_scan_finds_passes_over_all_states():
+    source = ("def whole(plant, spec):\n"
+              "    nodes, succ = product()\n"
+              "    n, states = len(nodes), range(len(nodes))\n"
+              "    while True:\n"
+              "        removed = list(compress(states, map(and_, reachable(\n"
+              "            upreds.__getitem__, removed, n), good)))\n"
+              "        for q in removed:\n"
+              "            good[q] = 0\n"
+              "            preds[q] = upreds[q] = succ[q] = ()\n"
+              "        coreach = reachable(preds.__getitem__, compress(\n"
+              "            states, map(and_, marked, good)), n)\n"
+              "        removed = [i for i in range(n) if good[i] > coreach[i]]\n"
+              "        if not removed:\n"
+              "            break\n"
+              "def helper(seeds, good, wit):\n"
+              "    return [q for q in seeds if good[q] and wit[q] < 0]\n"
+              "def sweep(seeds, good):\n"
+              "    return [q for q, g in enumerate(nodes) if good[q]] + list(good)\n"
+              "def by_index(plant):\n"
+              "    while doomed:\n"
+              "        doomed = helper(doomed, good, wit)\n"
+              "def by_sweep(plant):\n"
+              "    while doomed:\n"
+              "        doomed = sweep(helper(doomed, good, wit), good)\n"
+              "        succ = bytearray(n)\n")
+    assert fixpoint_passes(source, "whole") == [
+        "compress(states, map(and_, reachable(upreds.__getitem__, removed, n), good))",
+        "compress(states, map(and_, marked, good))", "n", "range(n)"]
+    assert fixpoint_passes(source, "by_index") == []
+    assert fixpoint_passes(source, "by_sweep") == ["enumerate(nodes)", "good", "n"]
+
+
+def test_no_supcon_round_passes_over_all_states():
+    assert fixpoint_passes((SRC / "control.py").read_text(encoding="utf-8"), "supcon") == []

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desctl import automata, cli, fms
+from desctl import automata, fms
 from desctl.automata import ModelFormatError, load_automaton
 from desctl.cli import main
 from desctl.control import closed_loop
@@ -125,11 +125,21 @@ class TestCompileSpecAndEquivalent:
         ("S1.json", "\x1b[32mequivalent\x1b[0m\n"),
         ("S2.json", "\x1b[31mnot equivalent: "),
     ], ids=["green", "red"])
-    def test_verdict_in_colour(self, runner, corpus, monkeypatch, model_b, output):
-        monkeypatch.setattr(cli, "_use_color", lambda: True)
+    def test_verdict_in_colour(self, runner, corpus, model_b, output):
         result = runner.invoke(main, ["equivalent", str(corpus / "S1.json"),
                                       str(corpus / model_b)], color=True)
         assert result.output.startswith(output)
+
+    @pytest.mark.parametrize("model_b, output", [
+        ("S1.json", "equivalent\n"),
+        ("S2.json", "not equivalent: "),
+    ], ids=["green", "red"])
+    def test_verdict_without_colour(self, runner, corpus, model_b, output):
+        # Not a terminal, or DESCTL_COLOR=0 on one: the same plain text.
+        args = ["equivalent", str(corpus / "S1.json"), str(corpus / model_b)]
+        plain = runner.invoke(main, args).output
+        assert plain.startswith(output) and "\x1b" not in plain
+        assert runner.invoke(main, args, color=True, env={"DESCTL_COLOR": "0"}).output == plain
 
     def test_json_output_is_deterministic(self, runner, corpus):
         args = ["equivalent", "--json", str(corpus / "S1.json"),

@@ -4,8 +4,9 @@ import tracemalloc
 
 import pytest
 
-from desctl import fms
-from desctl.automata import Alphabet, Automaton, empty_automaton, is_sublanguage
+from desctl import espec, fms
+from desctl.automata import (Alphabet, Automaton, empty_automaton, is_sublanguage,
+                             save_automaton)
 from desctl.compose import parallel, product
 from desctl.control import (AlphabetError, ConflictReport, check_controllability,
                             check_nonconflicting, closed_loop, supcon)
@@ -358,6 +359,12 @@ def alternation(k: int):
     return plant, Automaton("K", alph, states, trans, "x0", marked)
 
 
+def saved(a: Automaton, tmp_path) -> bytes:
+    """The bytes of ``a``'s model file."""
+    save_automaton(a, tmp_path / "saved.json")
+    return (tmp_path / "saved.json").read_bytes()
+
+
 class TestSupcon:
     def test_full_behavior_is_supremal(self, plant):
         result = supcon(plant, plant)
@@ -463,6 +470,52 @@ class TestSupcon:
         result = supcon(plant, spec)
         assert time.monotonic() - start < 10.0
         assert result.is_empty
+
+    def test_alternation_cost_follows_the_deletions(self):
+        # k = 16,000 rounds: a round that passes over all product states makes
+        # this quadratic (minutes); one that costs what it deletes takes well
+        # under a second.
+        plant, spec = alternation(16_000)
+        start = time.process_time()
+        result = supcon(plant, spec)
+        assert time.process_time() - start < 3.0
+        assert result.is_empty
+
+    @pytest.mark.parametrize("cat, states", [(1, 4992), (2, 3840)])
+    def test_a_spec_that_needs_no_pruning_gives_the_product(self, cat, states, tmp_path):
+        # Under sec28, KD1 and KD2 over their own events are controllable and
+        # nonblocking against the cell, so supcon deletes no product state.
+        # The cell's machine states are joined by "+" here, so that parallel
+        # may join the product's with "|", as supcon does.
+        plant = parallel([fms.build(k) for k in fms.MACHINE_KINDS], delimiter="+").renamed("G")
+        text = fms.spec_text(cat)
+        used = set(espec.leaves(espec.parse(text)))
+        spec = espec.compile_text(
+            text, Alphabet(tuple(x for x in plant.alphabet.entries if x[0] in used)))
+        result, composed = supcon(plant, spec), parallel([plant, spec])
+        assert len(result.states) == states
+        assert saved(result, tmp_path) == saved(composed, tmp_path)
+
+    def test_random_specs_that_need_no_pruning_give_the_product(self, tmp_path):
+        # The plant is trim, and the spec marks every state and takes u at each,
+        # so it never disables the uncontrollable u: most such pairs need no
+        # pruning, and supcon_oracle keeps every product state.
+        rng = random.Random(45)
+        kept = 0
+        for _ in range(400):
+            plant = random_automaton(rng, ["a", "b", "u"], name="p",
+                                     uncontrollable=["u"]).trim()
+            spec = random_automaton(rng, ["a", "b", "u"], name="k", uncontrollable=["u"])
+            takes_u = {(q, "u"): rng.choice(spec.states) for q in spec.states}
+            spec = Automaton("k", spec.alphabet, spec.states, {**takes_u, **spec.transitions},
+                             spec.initial, spec.states)
+            if plant.is_empty:
+                continue
+            composed = parallel([plant, spec])
+            if supcon_oracle(plant, spec) == set(composed.states):
+                assert saved(supcon(plant, spec), tmp_path) == saved(composed, tmp_path)
+                kept += len(composed.states) > 3
+        assert kept >= 30
 
     def test_supremal_on_random_instances(self):
         rng = random.Random(44)
