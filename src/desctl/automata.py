@@ -484,134 +484,85 @@ def _bad_row(rows: list, edges: Transitions, at: str) -> ModelFormatError:
 # rows ends at "},\n", which is always structural: a JSON string cannot hold a raw
 # newline.
 _SLICE_CHARS = 1 << 18
-_scan = json.JSONDecoder().scan_once
 _skip = json.decoder.WHITESPACE.match
-_ROWS = object()  # the value :func:`_field` gives for a transitions array
-# Longer than any literal (-Infinity) or escaped pair (\ud83d\ude00) that a read can
-# cut short: a decode error further from the end of the text held is not a cut.
-_CUT_CHARS = 16
-
-
-def _past(s: str, idx: int, token: str) -> int:
-    """The index past ``token``, which follows ``s[idx]`` and any whitespace."""
-    idx = _skip(s, idx).end()
-    if not s.startswith(token, idx):
-        raise json.JSONDecodeError(f"Expecting {token!r}", s, idx)
-    return idx + len(token)
-
-
-def _cut_short(exc: Exception, s: str) -> bool:
-    """Can the end of ``s`` have caused ``exc``, an error of :func:`_field` on ``s``?
-
-    Only an unterminated string, or an error within ``_CUT_CHARS`` of the end."""
-    if isinstance(exc, StopIteration):  # the scanner found no value at ``exc.value``
-        return exc.value >= len(s) - _CUT_CHARS
-    return exc.msg.startswith("Unterminated string") or exc.pos >= len(s) - _CUT_CHARS
-
-
-def _field(s: str, idx: int, sep: str) -> tuple:
-    """The top-level field after ``sep`` ("{" or ",") at ``s[idx]``: ``(key, value,
-    index past it and any whitespace)``.  The key is None past the closing brace; the
-    value is ``_ROWS``, and the index at the "[", for a transitions array."""
-    if sep == "," and s.startswith("}", idx := _skip(s, idx).end()):
-        return None, None, idx + 1
-    key, idx = json.decoder.scanstring(s, _past(s, _past(s, idx, sep), '"'))
-    idx = _skip(s, _past(s, idx, ":")).end()
-    if key == "transitions" and s.startswith("[", idx):
-        return key, _ROWS, idx
-    value, idx = _scan(s, idx)
-    return key, value, _skip(s, idx).end()
+# The key of the rows and the "[" that opens them.  The key's quote must not follow
+# a backslash: a quote after one is escaped or closes a string.  The check comes
+# after the key's text, so that the search still looks for that text first.
+_ROWS_KEY = re.compile(r'"transitions"(?<!\\"transitions")[ \t\n\r]*:[ \t\n\r]*\[')
 
 
 def _add_slice(edges: Transitions, text: str) -> None:
     """Add the rows of the JSON array ``text`` to ``edges``; ValueError if it is not one.
 
-    A function of its own, so that a slice's rows are freed before the next is read."""
-    rows, end = _scan(text, 0)
-    if end != len(text) or not _add_rows(edges, map(_row_names, rows)):
+    A function of its own, so that a slice's rows are freed before the next is read.
+    A row is decoded a JSON level shallower than in the whole document, from a
+    Python frame two deeper, so it can hit the recursion limit no later."""
+    if not _add_rows(edges, map(_row_names, json.loads(text))):
         raise ValueError("not a slice of rows")
 
 
-def _more(fh, s: str, keep: int) -> str | None:
-    """``s[keep:]`` and the next read of ``fh``: one slice or, if longer, as many
-    characters as ``s[keep:]``, so a field or row cut short costs reads logarithmic in
-    its length; None at the end of the file."""
-    s = s[keep:]
-    return s + more if (more := fh.read(max(_SLICE_CHARS, len(s)))) else None
-
-
-def _decode_rows(fh, s: str, edges: Transitions) -> tuple[str, int]:
+def _decode_rows(fh, s: str, edges: Transitions) -> None:
     """Add the rows of the array that ``s`` starts, and ``fh`` goes on, to ``edges``, a
-    slice at a time; the rest of the file and the index past the array in it."""
+    slice at a time; ValueError unless "}" and whitespace alone follow the array."""
     # ``s`` starts at the "[", then at the "," before the next row.  A cut does not
     # show where the array ends, so the file is read to its end.
     while True:
         if (cut := s.rfind("},\n")) > 0:
             _add_slice(edges, f"[{s[1:cut + 1]}]")
             s = s[cut + 1:]
-        if (more := _more(fh, s, 0)) is None:
+        if not (more := fh.read(max(_SLICE_CHARS, len(s)))):
             break
-        s = more
+        s += more
     if s.startswith(","):
         # The last cut may be a trailing comma, which JSON does not allow.
         if s.startswith("]", _skip(s, 1).end()):
             raise ValueError("a comma after the last row")
         s = "[" + s[1:]
-    rows, idx = _scan(s, 0)  # the rest of the file, in place
-    if not _add_rows(edges, map(_row_names, rows)):
-        raise ValueError("bad row")
-    return s, idx
+    # The rest of the file: the last rows, then the "}" that closes the object.
+    if not (s := s.rstrip(" \t\n\r")).endswith("}"):
+        raise ValueError("data after the rows")
+    s = s[:-1]  # rebound, so that the text is held once while its rows are decoded
+    _add_slice(edges, s)
 
 
 def _decode_streamed(fh, where: str) -> Automaton:
-    """The model in the text file ``fh``, read a slice at a time: a top-level field at a
-    time, and its rows a slice at a time.
+    """The model in the text file ``fh``: the text before the rows, read until it
+    holds the rows key and decoded as one document, then the rows a slice at a time.
 
-    Takes one object, each key once, with every field that :func:`_header`
-    checks before ``transitions``, that loads without error.
+    Takes one object whose ``transitions`` array comes last; any other text, and
+    any error, raises ValueError or RecursionError.
     """
-    doc, fields, s, idx, sep = {}, None, "", 0, "{"
-    while True:
-        # A field that ends at the end of the text held, or fails where a cut can
-        # make it fail, may be cut short: it is tried again from its start with
-        # more text, unless the file has ended.  Any other error is final.
-        try:
-            key, value, end = _field(s, idx, sep)
-            complete = end < len(s)
-        except (json.JSONDecodeError, StopIteration) as exc:
-            if not _cut_short(exc, s):
-                raise
-            complete = False
-        if not complete:
-            if (more := _more(fh, s, idx)) is not None:
-                s, idx = more, 0
-                continue
-            key, value, end = _field(s, idx, sep)
-        if key is None:
-            break
-        if key in doc:
-            raise ValueError("repeated key")
-        if value is _ROWS:
-            doc[key] = []  # a list, as the header check requires; the rows go below
-            fields = _header(doc, where)
-            s = s[end:]  # the header's text is not held while the rows are read
-            s, end = _decode_rows(fh, s, fields["transitions"])
-        else:
-            doc[key] = value
-        idx, sep = end, ","
-    if fields is None:
-        raise ValueError("no rows")
-    if _skip(s, end).end() < len(s):  # the rows were read to the end of the file
-        raise ValueError("data after the object")
+    # Each read is as long as the text held, so searching it all again after
+    # each read costs at most about twice the header.
+    s = ""
+    while not (m := _ROWS_KEY.search(s)):
+        if not (more := fh.read(max(_SLICE_CHARS, len(s)))):
+            raise ValueError("no rows")
+        s += more
+    # The header decodes only if it is the whole document with empty rows:
+    # - A match outside the top-level object never reaches _header's output.
+    #   The quote it starts at is not escaped, so it either closes a string,
+    #   after which ``transitions"`` does not decode, or opens a key; a key
+    #   nested in a value leaves that value unclosed.
+    # - Repeated header keys agree: json.loads keeps the last value of a key,
+    #   as json.load does, and _decode_rows lets nothing but "}" follow the rows.
+    # - The header is decoded at the same JSON depth as in the whole document,
+    #   by a json.loads called as deep as json.load calls it, so it cannot
+    #   decode where the whole document overflows the recursion limit.
+    fields = _header(json.loads(s[:m.start()] + '"transitions": []}'), where)
+    s = s[m.end() - 1:]
+    del m  # the match holds the header's text, which is not kept while the rows are read
+    _decode_rows(fh, s, fields["transitions"])
     return Automaton(**fields)
 
 
 def load_automaton(path) -> Automaton:
     """The model in the JSON file at ``path``; ModelFormatError if it is not one.
 
-    A file longer than one slice and laid out header first is read, and its rows
-    decoded, a slice at a time.  Any other file, and any file with an error, is
-    decoded as one document, as it always was, so every diagnostic is that of
+    A file longer than one slice whose rows come last is read a slice at a time:
+    the text before the rows is decoded as one document, and the rows a slice at
+    a time.  Any other file, and any file with an error, is decoded as one
+    document, as it always was, so every diagnostic is that of
     :func:`automaton_from_dict`.
     """
     where = str(path)
@@ -620,7 +571,7 @@ def load_automaton(path) -> Automaton:
             try:
                 if os.fstat(fh.fileno()).st_size > _SLICE_CHARS:
                     return _decode_streamed(fh, where)
-            except (ValueError, StopIteration, RecursionError):  # not taken, whatever the reason
+            except (ValueError, RecursionError):  # not taken, whatever the reason
                 fh.seek(0)
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:

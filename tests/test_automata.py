@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -351,11 +352,17 @@ def layouts(doc: dict, rng) -> list[str]:
     """Texts of ``doc``: save_automaton's layout, with CRLF line ends, rows shuffled,
     compact, unescaped, keys shuffled, ``transitions`` first, header keys repeated
     before and after the rows, extra keys after them, whitespace and then data after
-    the object."""
+    the object; and texts in which the rows key appears elsewhere or in another
+    form: in each event, in a key holding an escaped quote, before the rows and
+    after rows whose key is spelled with an escape, as a state and in the name, and
+    with long whitespace around its colon."""
     keys = list(doc)
     rng.shuffle(keys)
     rows = rng.sample(doc["transitions"], len(doc["transitions"]))
     text = json.dumps(doc, indent=2)
+    header = {k: v for k, v in doc.items() if k != "transitions"}
+    escaped = json.dumps({**header, "transitions": doc["transitions"], 'a"transitions': []},
+                         indent=2).replace('"transitions": [', '"transi\\u0074ions": [', 1)
     return [text + "\n", text.replace("\n", "\r\n"),
             json.dumps({**doc, "transitions": rows}, indent=2),
             json.dumps(doc), json.dumps(doc, indent=2, ensure_ascii=False),
@@ -366,7 +373,16 @@ def layouts(doc: dict, rng) -> list[str]:
             text[:-2] + ',\n  "name": "again"\n}',
             text[:-2] + ',\n  "name": "again",\n  "transitions": []\n}',
             json.dumps({**doc, "notes": [{"a": 1}, {"b": [{}, {}]}], "z": None}, indent=2),
-            text + "\n \t\r\n", text + "\n{}"]
+            text + "\n \t\r\n", text + "\n{}",
+            json.dumps({**doc, "events": [{**ev, "transitions": rows[:1]} for ev in doc["events"]]},
+                       indent=2),
+            json.dumps({**header, 'a"transitions': [rows[:1]], "transitions": doc["transitions"]},
+                       indent=2),
+            escaped,
+            json.dumps({**doc, "states": [*doc["states"], "transitions"], "initial": "transitions"},
+                       indent=2),
+            json.dumps({**doc, "name": '"transitions": ['}, indent=2),
+            text.replace('"transitions": [', '"transitions"' + " " * 65 + ":" + "\n\t" * 33 + "[", 1)]
 
 
 def assert_loads_as_whole(texts, tmp_path, monkeypatch) -> None:
@@ -398,13 +414,15 @@ def test_loader_decodes_as_the_whole_document(tmp_path, monkeypatch):
 
 def test_saved_models_decode_a_slice_at_a_time(tmp_path, monkeypatch):
     # The streamed decode itself, not the whole-document decode it falls back on.
+    # Saved, and compact as perfbench's write_model writes it.
     for a in (fms.build_total(), weird_automaton(random.Random(5))):
         save_automaton(a, tmp_path / "m.json")
-        text = (tmp_path / "m.json").read_text(encoding="utf-8")
-        for chars in SLICES:
-            monkeypatch.setattr(automata, "_SLICE_CHARS", chars)
-            b = automata._decode_streamed(io.StringIO(text), "m.json")
-            assert (b, list(b.transitions.items())) == (a, list(a.transitions.items()))
+        saved = (tmp_path / "m.json").read_text(encoding="utf-8")
+        for text in (saved, json.dumps(automaton_to_dict(a))):
+            for chars in SLICES:
+                monkeypatch.setattr(automata, "_SLICE_CHARS", chars)
+                b = automata._decode_streamed(io.StringIO(text), "m.json")
+                assert (b, list(b.transitions.items())) == (a, list(a.transitions.items()))
 
 
 class CountedReads(io.StringIO):
@@ -447,8 +465,8 @@ def test_reads_can_end_anywhere(tmp_path, monkeypatch):
             with open(path, encoding="utf-8") as fh:
                 b = automata._decode_streamed(fh, str(path))
             assert (b, list(b.transitions.items())) == expected
-    # A read is one slice, or as long as the text held: a field or a row cut short
-    # is read again in a number of reads logarithmic in its length.
+    # A read is one slice, or as long as the text held: a header many slices long
+    # costs a number of reads logarithmic in its length.
     monkeypatch.setattr(automata, "_SLICE_CHARS", 1)
     header = CountedReads(saved[:saved.index('"transitions"')] + '"transitions": []}')
     assert automata._decode_streamed(header, "m.json").states == states
@@ -473,22 +491,57 @@ def test_a_bad_header_field_ends_the_streamed_decode_at_once(tmp_path, monkeypat
 
 def test_deep_header_value_in_a_long_file(tmp_path, monkeypatch):
     # A header value nested past the recursion limit, in a file longer than one
-    # slice at every size: the streamed decode raises the RecursionError, after
-    # reading as much as it needs and no more, and the loader gives the
-    # whole-document diagnostic.
-    text = json.dumps(MODEL, indent=2)
-    rows = text.index('  "transitions"')
+    # slice at every size: the streamed decode raises the RecursionError, and the
+    # loader gives the whole-document diagnostic.  Each read is as long as the text
+    # held, so the decode reads less than twice the text up to the rows key, and
+    # never to the end of rows longer than that.
     depth = automata._SLICE_CHARS // 2 + 1
     for deep in ("[" * depth + "]" * depth, '[{"k": ' * depth + "1" + "}]" * depth):
+        text = json.dumps({**MODEL, "transitions": MODEL["transitions"] * (len(deep) // 30)},
+                          indent=2)
+        rows = text.index('  "transitions"')
         deep_text = text[:rows] + '  "notes": ' + deep + ",\n" + text[rows:]
+        key = deep_text.index('"transitions": [') + len('"transitions": [')
+        assert len(deep_text) > 3 * key
         (tmp_path / "m.json").write_text(deep_text, encoding="utf-8")
         for chars in SLICES:
             monkeypatch.setattr(automata, "_SLICE_CHARS", chars)
             fh = io.StringIO(deep_text)
             with pytest.raises(RecursionError):
                 automata._decode_streamed(fh, "m.json")
-            assert fh.tell() < len(deep_text)
+            assert fh.tell() < max(2 * key, key + chars)
         assert_loads_as_whole([deep_text], tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("where", ["header", "first row", "last row"])
+def test_values_nested_near_the_recursion_limit_load_as_the_whole_document(where, tmp_path):
+    # A value nested just under or just over the depth at which the whole-document
+    # decode overflows, in a file longer than one slice: the loader decodes it where
+    # the whole document does, and not where it does not.  That depth is found by
+    # bisection, so the test does not depend on the stack depth it runs at.
+    save_automaton(fms.build_total(), tmp_path / "g.json")
+    saved = (tmp_path / "g.json").read_text(encoding="utf-8")
+    at = {"header": saved.index('  "transitions"'), "first row": saved.index('"to": '),
+          "last row": saved.rindex('"to": ')}[where]
+    # The first row is decoded in a slice, the last in the rest of the file.
+    assert len(saved) > 3 * automata._SLICE_CHARS
+    path = tmp_path / "m.json"
+
+    def write(depth):
+        notes = '"notes": ' + "[" * depth + "]" * depth
+        path.write_text(saved[:at] + ("  " + notes + ",\n" if where == "header" else notes + ", ")
+                        + saved[at:], encoding="utf-8")
+
+    decodes, overflows = 1, 2 * sys.getrecursionlimit()
+    while overflows - decodes > 1:
+        write(depth := (decodes + overflows) // 2)
+        if len(load_outcome(load_whole, path)) == 3:  # an error
+            overflows = depth
+        else:
+            decodes = depth
+    for depth in range(overflows - 20, overflows + 21):
+        write(depth)
+        assert load_outcome(load_automaton, path) == load_outcome(load_whole, path), depth
 
 
 def test_rows_in_any_order_load_in_the_canonical_order(tmp_path, monkeypatch):

@@ -209,7 +209,7 @@ def test_loading_the_kd1_supervisor_shares_names(kd1_supervisor, tmp_path):
 
 def test_loading_the_kd1_supervisor_decodes_rows_a_slice_at_a_time(kd1_supervisor, tmp_path):
     # The 8.4 MB file, read and decoded a 256 KiB slice at a time, peaks at about
-    # 4.4 MB, of which the loaded model holds 2.0 MB; a loader that held the whole
+    # 4.3 MB, of which the loaded model holds 2.0 MB; a loader that held the whole
     # file's text would exceed the bound on that alone.
     path = tmp_path / "sup.json"
     save_automaton(kd1_supervisor, path)
