@@ -220,6 +220,18 @@ def spelled(events, word) -> tuple[str, ...]:
     return tuple(map(events.__getitem__, word))
 
 
+def free_delimiter(base: str, names: Iterable[str]) -> str:
+    """``base``, doubled until none of ``names`` contains it.
+
+    Every composite state name joins its members with such a delimiter: ``|``
+    over the state names of a product's components, ``+`` over the states of an
+    automaton whose blocks are merged."""
+    names = tuple(names)
+    while any(base in q for q in names):
+        base += base
+    return base
+
+
 def prober(a: Automaton) -> Callable[[int, Optional[int]], Optional[int]]:
     """``probe(q, e)``: the target of ``a``'s edge from ``q`` on event rank ``e``, or None.
 

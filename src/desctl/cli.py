@@ -20,10 +20,9 @@ from . import PARTITIONS, InputError, __version__
 # Name -> the desctl module that defines it.  Each is imported on first use
 # (PEP 562), so a command loads only the layers it calls.
 _LAZY = {name: module for module, names in {
-    "automata": "Automaton BadQueryError ModelFormatError load_automaton save_automaton",
-    "compose": "ComposeError free_delimiter parallel", "dot": "dot", "espec": "espec",
-    "control": "AlphabetError check_controllability check_nonconflicting supcon",
-    "fms": "fms", "sim": "sim"}.items() for name in names.split()}
+    "automata": "Automaton load_automaton save_automaton", "compose": "parallel",
+    "control": "check_controllability check_nonconflicting supcon", "dot": "dot",
+    "espec": "espec", "fms": "fms", "sim": "sim"}.items() for name in names.split()}
 
 
 def __getattr__(name: str):
@@ -89,14 +88,13 @@ def cmd_validate(model, as_json):
 @click.argument("models", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
-@click.option("--delim", help="Delimiter for composite state names; by default '|', "
-              "doubled until no component state name contains it.")
-def cmd_compose(models, output, delim):
-    """Parallel composition of two or more automaton files."""
-    automata = [_lazy.load_automaton(m) for m in models]
-    if delim is None:
-        delim = _lazy.free_delimiter(automata)
-    product = _lazy.parallel(automata, delimiter=delim)
+def cmd_compose(models, output):
+    """Parallel composition of two or more automaton files.
+
+    Composite state names join the component state names with '|', doubled
+    until no component state name contains it.
+    """
+    product = _lazy.parallel([_lazy.load_automaton(m) for m in models])
     _lazy.save_automaton(product, output)
     click.echo(f"{len(product.states)} states, {len(product.alphabet)} events "
                f"-> {output}")

@@ -5,8 +5,8 @@ from __future__ import annotations
 from itertools import compress
 from typing import Sequence
 
-from .automata import (Alphabet, Automaton, InputError, empty_automaton, explore, from_lists,
-                       pairs, prober)
+from .automata import (Alphabet, Automaton, InputError, empty_automaton, explore,
+                       free_delimiter, from_lists, pairs, prober)
 
 
 class ComposeError(InputError):
@@ -100,10 +100,14 @@ def all_marked(automata: Sequence[Automaton]):
     return lambda cur: all(map(frozenset.__contains__, sets, cur))
 
 
-def joined(automata: Sequence[Automaton], delimiter: str):
-    """``name(node)``: the component state names of a product node joined by ``delimiter``."""
+def joined(automata: Sequence[Automaton]):
+    """``(name, state)``: the product's name and ``state(node)``, the name of a product
+    node.  Both join the components' names in component order with ``|``, doubled
+    by :func:`~desctl.automata.free_delimiter` until no component state name contains it."""
+    delimiter = free_delimiter("|", [q for a in automata for q in a.states])
     names = [a.states for a in automata]
-    return lambda node: delimiter.join(map(tuple.__getitem__, names, node))
+    return (delimiter.join(a.name for a in automata),
+            lambda node: delimiter.join(map(tuple.__getitem__, names, node)))
 
 
 def product(automata: Sequence[Automaton], alphabet: Alphabet):
@@ -120,34 +124,21 @@ def product(automata: Sequence[Automaton], alphabet: Alphabet):
     return explore(tuple(a.start for a in automata), successors(automata, alphabet))[:2]
 
 
-def free_delimiter(automata: Sequence[Automaton]) -> str:
-    """``|``, doubled until no component state name contains it."""
-    delimiter = "|"
-    while any(delimiter in q for a in automata for q in a.states):
-        delimiter += delimiter
-    return delimiter
-
-
-def parallel(automata: Sequence[Automaton], delimiter: str = "|") -> Automaton:
+def parallel(automata: Sequence[Automaton]) -> Automaton:
     """Parallel composition: shared events synchronize, private ones interleave.
 
     Only the reachable part of the product is built, by breadth-first
-    exploration from the tuple of initial states.  Composite states are the
-    component state names joined by ``delimiter`` in input order.
+    exploration from the tuple of initial states.  The product and its states
+    join the components' names with ``|``, doubled until no component state
+    name contains it (:func:`joined`).
     """
     automata = list(automata)
     if not automata:
         raise ComposeError("parallel composition needs at least one automaton")
     alphabet = merged_alphabet(automata)
-    name = delimiter.join(a.name for a in automata)
+    name, state = joined(automata)
     if any(a.initial is None for a in automata):
         return empty_automaton(name, alphabet)
-    for a in automata:
-        for q in a.states:
-            if delimiter in q:
-                raise ComposeError(
-                    f"state name {q!r} of {a.name!r} contains the delimiter {delimiter!r}"
-                )
     nodes, succ = product(automata, alphabet)
-    return from_lists(name, alphabet, map(joined(automata, delimiter), nodes), succ, 0,
+    return from_lists(name, alphabet, map(state, nodes), succ, 0,
                       compress(range(len(nodes)), map(all_marked(automata), nodes)))

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .automata import (Automaton, InputError, empty_automaton, explore, from_lists, from_nodes,
                        pairs, path_to, predecessors, prober, reachable, spelled)
-from .compose import all_marked, free_delimiter, joined, parallel, product, successors
+from .compose import all_marked, joined, parallel, product, successors
 
 
 class AlphabetError(InputError):
@@ -49,8 +49,8 @@ def closed_loop(plant: Automaton, sups: Sequence[Automaton]) -> Automaton:
     """Modular closed loop: plant composed with every supervisor.
 
     Events outside every supervisor alphabet are constrained by the plant
-    alone.  State names join the component names with ``|``, repeated until
-    no component state name contains it.
+    alone.  State names join the component names as :func:`~desctl.compose.parallel`
+    does: with ``|``, doubled until no component state name contains it.
     """
     sup_list = list(sups)
     for s in sup_list:
@@ -61,7 +61,7 @@ def closed_loop(plant: Automaton, sups: Sequence[Automaton]) -> Automaton:
     components = [plant] + [
         replace(s, alphabet=s.alphabet.reflagged(plant.alphabet.uncontrollable))
         for s in sup_list]
-    return parallel(components, delimiter=free_delimiter(components))
+    return parallel(components)
 
 
 def _first_disabled(plant: Automaton, sup: Automaton):
@@ -147,12 +147,13 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
     attractor (:func:`_attracted`) and hands on the states that this leaves
     blocking (:func:`_unwitnessed`).  A product that needs no pruning is
     returned as it is, its numbering and edge lists unchanged; otherwise a
-    forward reach keeps the surviving states.  States join component names
-    with ``|``, or with :func:`~desctl.compose.free_delimiter` if two names
-    would collide.  Returns the canonical empty automaton when nothing survives.
+    forward reach keeps the surviving states.  The result and its states are
+    named as :func:`~desctl.compose.parallel` names those of ``[plant, spec]``.
+    Returns the canonical empty automaton, so named, when nothing survives.
     """
     _require_subalphabet(plant, spec)
-    components, name = [plant, spec], f"{plant.name}|{spec.name}"
+    components = [plant, spec]
+    name, state = joined(components)
     if plant.start is None or spec.start is None:
         return empty_automaton(name, plant.alphabet)
 
@@ -175,21 +176,15 @@ def supcon(plant: Automaton, spec: Automaton) -> Automaton:
         doomed = _unwitnessed(_attracted(doomed, good, upreds, succ), good, wit, preds, succ)
     del preds, upreds, wit
     if not pruned:  # reachable, controllable and trim as it is
-        kept = range(n)
-    elif good[0]:
-        # A deleted state has no out-edges left, so the reach does not pass it.
-        kept = list(compress(range(n), map(and_, reachable(lambda i: succ[i][1::2], [0], n),
-                                           good)))
-    else:
+        return from_lists(name, plant.alphabet, map(state, nodes), succ, 0,
+                          compress(range(n), marked))
+    if not good[0]:
         return empty_automaton(name, plant.alphabet)
-    names = list(map(joined(components, "|"), map(nodes.__getitem__, kept)))
-    if len(set(names)) < len(names):
-        names = list(map(joined(components, free_delimiter(components)),
-                         map(nodes.__getitem__, kept)))
-    if not pruned:
-        return from_lists(name, plant.alphabet, names, succ, 0, compress(range(n), marked))
-    return from_nodes(name, plant.alphabet, dict(zip(kept, names)), lambda i: pairs(succ[i]),
-                      0, (i for i in kept if marked[i]))
+    # A deleted state has no out-edges left, so the reach does not pass it.
+    names = {i: state(nodes[i]) for i in compress(range(n), map(
+        and_, reachable(lambda i: succ[i][1::2], [0], n), good))}
+    return from_nodes(name, plant.alphabet, names, lambda i: pairs(succ[i]), 0,
+                      (i for i in names if marked[i]))
 
 
 def _witnesses(preds: list, marked) -> list:

@@ -28,7 +28,8 @@ from itertools import compress
 from typing import Optional
 
 from .automata import (EVENT_ID, Alphabet, Automaton, InputError, empty_automaton, explore,
-                       from_lists, from_nodes, pairs, prober, reachable, spelled)
+                       free_delimiter, from_lists, from_nodes, pairs, prober, reachable,
+                       spelled)
 
 # Groups nest at most this deep.  The parser and the passes over the AST
 # recurse a few frames per level, so much deeper input overflows the stack.
@@ -288,7 +289,9 @@ def minimize(a: Automaton) -> Automaton:
     (Valmari & Lehtinen, 2008), O(T log N) on the N states and their T
     transitions.  "Undefined" is never a block, so the generated
     language is preserved exactly and no sink state is ever introduced.
-    Merged states are named by joining their members with '+' in state order.
+    Merged states are named by joining their members in state order with '+',
+    doubled by :func:`~desctl.automata.free_delimiter` until no state name
+    contains it.
     """
     if a.start is None:
         return empty_automaton(a.name, a.alphabet)
@@ -334,7 +337,8 @@ def minimize(a: Automaton) -> Automaton:
     for q in reach:  # state order fixes member and block order
         members.setdefault(block[q], []).append(q)
     # Each block is represented by its first member; names join all members.
-    names = {b: "+".join(map(a.states.__getitem__, qs)) for b, qs in members.items()}
+    delimiter = free_delimiter("+", a.states)
+    names = {b: delimiter.join(map(a.states.__getitem__, qs)) for b, qs in members.items()}
     return from_nodes(a.name, a.alphabet, names,
                       lambda b: [(e, block[t]) for e, t in pairs(out[members[b][0]])],
                       block[a.start], (b for b, qs in members.items() if qs[0] in a.marked_ids))

@@ -129,7 +129,7 @@ def test_criterion_7_synthesis_properties():
             spec = compile_text(fms.spec_text(cat), g.alphabet)
             result = supcon(g, spec)
             assert check_controllability(g, result).controllable
-            ok, witness = is_sublanguage(result, parallel([g, spec], delimiter="/"))
+            ok, witness = is_sublanguage(result, parallel([g, spec]))
             assert ok, witness
             assert result.trim().states == result.states
         rng = random.Random(90)

@@ -13,6 +13,10 @@ corpus appears in a ``desctl`` module other than ``desctl.fms``.
 A round of ``desctl.control.supcon``'s fixpoint costs the states it touches:
 no pass over all product states runs inside the fixpoint loop.
 
+Composite state names are joined in one way: every join goes through a
+delimiter from ``desctl.automata.free_delimiter``, so no module joins names on
+a ``|`` or ``+`` written into its source.
+
 There is one ordered search: ``desctl.automata.explore`` is the only loop in
 the package that takes items in the order it adds them (a ``for`` loop over a
 list it grows, or a ``while`` loop taking from the front of one), and every
@@ -57,7 +61,7 @@ def test_only_automata_reads_the_transition_map(path):
 
 
 # The completion events the simulator counts are the one corpus fact left in a
-# generic module; ROADMAP item 6 leaves moving them to desctl.fms open.
+# generic module; ROADMAP item 9 leaves moving them to desctl.fms open.
 CORPUS_EXCEPTIONS = {("sim.py", 'COMPLETION_EVENTS = {"1": "A.done1", "2": "A.done2"}')}
 
 
@@ -80,6 +84,47 @@ def test_the_corpus_scan_finds_whole_ids():
 def test_corpus_event_ids_stay_in_fms(path):
     found = corpus_event_lines(path.read_text(encoding="utf-8"))
     assert [line for line in found if (path.name, line) not in CORPUS_EXCEPTIONS] == []
+
+
+def delimiter_joins(source: str) -> list[int]:
+    """Lines of ``source`` that join on a string constant of ``|`` or of ``+``
+    characters: the constant is the receiver of ``.join``, a literal part of an
+    f-string, or an operand of a string ``+``."""
+
+    def delimiter(n):
+        return (isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value != ""
+                and (set(n.value) == {"|"} or set(n.value) == {"+"}))
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            found = node.func.attr == "join" and delimiter(node.func.value)
+        elif isinstance(node, ast.JoinedStr):
+            found = any(map(delimiter, node.values))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            found = delimiter(node.left) or delimiter(node.right)
+        else:
+            continue
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_join_scan_finds_delimiter_constants():
+    source = ('a = "|".join(names)\n'
+              "b = '++'.join(map(str, qs))\n"
+              'c = f"{g.name}|{k.name}"\n'
+              'd = p + "|" + q\n'
+              'e = " ".join(list(s) + ["|", e])\n'
+              "f = delimiter.join(names)\n"
+              'g = f"{x}|-{y}"\n'
+              'h = "+|".join(names) + "+1"\n')
+    assert delimiter_joins(source) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_state_names_join_on_a_free_delimiter(path):
+    assert delimiter_joins(path.read_text(encoding="utf-8")) == [], path.name
 
 
 def queue_loops(source: str) -> list[str]:

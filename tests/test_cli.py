@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desctl import automata, fms
-from desctl.automata import ModelFormatError, load_automaton
+from desctl.automata import Alphabet, Automaton, ModelFormatError, load_automaton, save_automaton
 from desctl.cli import main
 from desctl.control import closed_loop
+from desctl.espec import equivalent
 from oracles import validate
 
 
@@ -92,8 +93,6 @@ class TestCompose:
         loop = closed_loop(fms.build_total(), [fms.build_supervisor(1),
                                                fms.build_supervisor(2)])
         assert load_automaton(out).states == loop.states
-        result = runner.invoke(main, ["compose", *models, "--delim", "|", "-o", str(out)])
-        assert result.exit_code == 2
 
     def test_flag_conflict_exits_two(self, runner, corpus, tmp_path):
         g2 = corpus / "G_total_sec2.json"
@@ -183,6 +182,17 @@ class TestMinimize:
         assert result.exit_code == 0
         assert "13 states" in result.output
         assert "qS1_10+qS1_14" in load_automaton(out).states
+        # a and b merge, and a state is already named a+b: the merged one is a++b.
+        model = tmp_path / "plus.json"
+        save_automaton(Automaton(
+            "t", Alphabet((("x", True), ("y", True))), ("a", "b", "a+b", "c"),
+            {("a+b", "x"): "a", ("a+b", "y"): "b", ("a", "x"): "c", ("b", "x"): "c"},
+            "a+b", ("c",)), model)
+        assert runner.invoke(main, ["validate", str(model)]).exit_code == 0
+        result = runner.invoke(main, ["minimize", str(model), "-o", str(out)])
+        assert (result.exit_code, result.output) == (0, f"3 states -> {out}\n")
+        assert load_automaton(out).states == ("a++b", "a+b", "c")
+        assert equivalent(load_automaton(out), load_automaton(model))[0]
 
 
 class TestCheckCtrl:

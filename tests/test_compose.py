@@ -108,12 +108,13 @@ def test_controllability_disagreement_rejected():
         parallel([a, b])
 
 
-def test_delimiter_inside_state_name_rejected():
-    a = Automaton("a", Alphabet((("go", True),)), ("a|0",),
-                  {}, "a|0", ("a|0",))
-    with pytest.raises(ComposeError):
-        parallel([a, a])
-    parallel([a, a], delimiter="/")  # another delimiter is fine
+def test_names_holding_the_delimiter_join_with_it_doubled():
+    alph = Alphabet((("go", True),))
+    a = Automaton("a", alph, ("a|0", "a|1"), {("a|0", "go"): "a|1"}, "a|0", ("a|1",))
+    b = Automaton("b", alph, ("b0", "b1"), {("b0", "go"): "b1"}, "b0", ("b1",))
+    ab = parallel([a, b])
+    assert (ab.name, ab.states) == ("a||b", ("a|0||b0", "a|1||b1"))
+    assert [tuple(q.split("||")) for q in ab.states] == list(zip(a.states, b.states))
 
 
 def test_merged_alphabet_keeps_first_occurrence_order():

@@ -43,7 +43,7 @@ E = empty_automaton("E", G.alphabet)
     (lambda: equivalent(E, G), (False, ())),
     (lambda: is_sublanguage(G, E), (False, ())),
     (lambda: check_nonconflicting(G, [E]), ConflictReport(False, (), 0)),
-    (lambda: supcon(G, E), empty_automaton("G|E", G.alphabet)),
+    (lambda: supcon(G, E), empty_automaton("G||E", G.alphabet)),
     (lambda: minimize(E), E),
     (lambda: replay(E, [], run(G, [], Random(0), 3)), False),
 ], ids=["equivalent-E-E", "equivalent-G-E", "equivalent-E-G", "is_sublanguage-G-E",
@@ -395,7 +395,7 @@ class TestSupcon:
             sup = fms.build_supervisor(cat)
             result = supcon(plant, sup)
             assert check_controllability(plant, result).controllable
-            ok, _ = is_sublanguage(result, parallel([plant, sup], delimiter="/"))
+            ok, _ = is_sublanguage(result, parallel([plant, sup]))
             assert ok
             assert result.trim().states == result.states
 
@@ -485,9 +485,7 @@ class TestSupcon:
     def test_a_spec_that_needs_no_pruning_gives_the_product(self, cat, states, tmp_path):
         # Under sec28, KD1 and KD2 over their own events are controllable and
         # nonblocking against the cell, so supcon deletes no product state.
-        # The cell's machine states are joined by "+" here, so that parallel
-        # may join the product's with "|", as supcon does.
-        plant = parallel([fms.build(k) for k in fms.MACHINE_KINDS], delimiter="+").renamed("G")
+        plant = fms.build_total()
         text = fms.spec_text(cat)
         used = set(espec.leaves(espec.parse(text)))
         spec = espec.compile_text(

@@ -16,6 +16,10 @@ from oracles import (all_strings, ast_matches, equivalent_scan, nerode_classes, 
                      random_automaton, walk_generated, walk_marked)
 
 ABC = Alphabet((("a", True), ("b", True), ("c", True)))
+# a and b merge; the state named a+b does not join them.
+PLUS_NAMED = Automaton("t", Alphabet((("x", True), ("y", True))), ("a", "b", "a+b", "c"),
+                       {("a+b", "x"): "a", ("a+b", "y"): "b", ("a", "x"): "c", ("b", "x"): "c"},
+                       "a+b", ("c",))
 FIVE = Alphabet(tuple((e, True) for e in "abcde"))
 
 
@@ -32,6 +36,14 @@ def _with_epsilon(ast, rng):
         return type(x)(splice(x.child))
 
     return splice(ast)
+
+
+def _renamed(a: Automaton, names: tuple) -> Automaton:
+    """``a`` with its states named ``names``, in state order."""
+    new = dict(zip(a.states, names))
+    return Automaton(a.name, a.alphabet, names,
+                     {(new[q], e): new[t] for (q, e), t in a.transitions.items()},
+                     new[a.initial], tuple(map(new.get, a.marked)))
 
 
 def _random_pair(rng):
@@ -283,23 +295,32 @@ class TestMinimize:
             assert eq, witness
 
     def test_blocks_are_the_nerode_classes(self):
-        # The blocks read back from the '+'-joined names must be exactly the
+        # The blocks read back from the joined names must be exactly the
         # brute-force classes, members in state order and blocks ordered by
         # their first member.  An unmarked dead end and an unmarked state
-        # whose only edge leads to it differ on the generated language.
+        # whose only edge leads to it differ on the generated language.  Where
+        # a state name holds '+', the members are joined by '++'.
         rng = random.Random(27)
         cases = [Automaton("t", Alphabet((("a", True),)), ("q0", "q1"),
-                           {("q0", "a"): "q1"}, "q0", ())]
+                           {("q0", "a"): "q1"}, "q0", ()), PLUS_NAMED]
         for _ in range(150):
             a = random_automaton(rng, ["a", "b", "c"], max_states=6)
             cases += [a, replace(a, marked=()), replace(a, marked=a.states)]
         for a in cases:
-            blocks = [name.split("+") for name in minimize(a).states]
+            delimiter = "++" if any("+" in q for q in a.states) else "+"
+            blocks = [name.split(delimiter) for name in minimize(a).states]
             assert {frozenset(b) for b in blocks} == nerode_classes(a)
             order = {q: i for i, q in enumerate(a.states)}
             assert all(b == sorted(b, key=order.get) for b in blocks)
             firsts = [order[b[0]] for b in blocks]
             assert firsts == sorted(firsts)
+            # Also checked: the case with a state of another block named the
+            # '+'-join of a two-state block, as in PLUS_NAMED.
+            pair = next((b for b in blocks if len(b) == 2), None)
+            other = next((b[0] for b in blocks if b is not pair), None)
+            if delimiter == "+" and pair and other:
+                cases.append(_renamed(a, tuple("+".join(pair) if q == other else q
+                                               for q in a.states)))
 
     def test_long_chain_in_linear_time(self):
         # Marked only at its end, every state of the chain is its own block;

@@ -161,7 +161,7 @@ def kd1_supervisor(plant):
 def test_supcon_of_spec_over_its_own_events(kd1_supervisor):
     assert len(kd1_supervisor.states) == 4992
     assert _model_digest(kd1_supervisor) == (
-        "cbcf7e9fd42fc6e3ec332ae4fe6ed9c49976b0809a02aa02707acbbf54f7be99")
+        "59ca74a878583bed5fdb09e82d58bd4131e878239216743ea6139cfc26605f25")
 
 
 def test_closed_loop_model(loop):
@@ -171,7 +171,7 @@ def test_closed_loop_model(loop):
 
 @pytest.mark.parametrize("which, digest", [
     ("loop", "c8617b5202b6c0867ad0ddf91aa3d5fd56f2279774d4c7de8a880db5392e0f78"),
-    ("kd1_supervisor", "016703e206f316c410cdd47b68caca508f6ac523606bd1dc1e6ce064f2682c7e"),
+    ("kd1_supervisor", "f07ced58d8b50649d0dd397c8cd96d36069967bb16e44f0fba892315b61019f4"),
 ])
 def test_written_model_file(request, tmp_path, which, digest):
     # The bytes save_automaton writes, not the dict the digests above hash.
@@ -208,7 +208,7 @@ def test_loading_the_kd1_supervisor_shares_names(kd1_supervisor, tmp_path):
 
 
 def test_loading_the_kd1_supervisor_decodes_rows_a_slice_at_a_time(kd1_supervisor, tmp_path):
-    # The 8.4 MB file, read and decoded a 256 KiB slice at a time, peaks at about
+    # The 8.5 MB file, read and decoded a 256 KiB slice at a time, peaks at about
     # 4.3 MB, of which the loaded model holds 2.0 MB; a loader that held the whole
     # file's text would exceed the bound on that alone.
     path = tmp_path / "sup.json"
