@@ -19,7 +19,7 @@ import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import and_, itemgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -379,65 +379,45 @@ def is_sublanguage(a: Automaton, b: Automaton) -> tuple[bool, Optional[tuple[str
 
 _JSON_KINDS = {str: "a string", list: "a list", bool: "true or false", int: "an integer",
                dict: "an object", (str, type(None)): "a string or null"}
-
-
-def _expect(value, kind: type, where: str):
-    """``value`` if it is of the JSON type ``kind``; ModelFormatError otherwise."""
-    if not isinstance(value, kind):
-        raise ModelFormatError(
-            f"expected {_JSON_KINDS[kind]}, found {type(value).__name__}", where)
-    return value
+# The JSON shape of a model file's header (see check_shape); _add_rows checks the rows.
+_HEADER = {"name": str, "events": [{"id": str, "controllable": bool}], "states": [str],
+           "initial": (str, type(None)), "marked": [str], "transitions": list}
 
 
 def check_shape(value, shape, where: str) -> None:
-    """ModelFormatError, located, at the first part of ``value`` not of the JSON ``shape``."""
-    # A shape is a key of _JSON_KINDS, a dict of the shapes of required
-    # fields, or a one-item list holding the shape of every item.
-    _expect(value, shape if isinstance(shape, (type, tuple)) else type(shape), where)
+    """ModelFormatError, located, at the first part of ``value`` not of the JSON ``shape``.
+
+    A shape is a key of ``_JSON_KINDS``, a dict of the shapes of required fields, or
+    a one-item list holding the shape of every item.  Kinds are exact JSON kinds, so
+    ``true`` is not an integer.  The items of a list of one kind, such as a model's
+    many state names, are checked in one pass at C speed and located only on failure.
+    """
+    kind = shape if isinstance(shape, (type, tuple)) else type(shape)
+    if type(value) not in (kind if isinstance(kind, tuple) else (kind,)):
+        raise ModelFormatError(f"expected {_JSON_KINDS[kind]}, found {type(value).__name__}",
+                               where)
     for key, field in shape.items() if isinstance(shape, dict) else ():
         if key not in value:
             raise ModelFormatError(f"missing field {key!r}", where)
         check_shape(value[key], field, f"{where}.{key}")
-    for i, item in enumerate(value) if isinstance(shape, list) else ():
-        check_shape(item, shape[0], f"{where}[{i}]")
-
-
-def _expect_strings(values: list, where: str) -> None:
-    # One pass at C speed, and locations formatted only on failure: models
-    # can have many states.
-    if not all(map(isinstance, values, repeat(str))):
-        for i, v in enumerate(values):
-            _expect(v, str, f"{where}[{i}]")
+    if isinstance(shape, list) and not (isinstance(shape[0], type)
+                                        and set(map(type, value)) <= {shape[0]}):
+        for i, item in enumerate(value):
+            check_shape(item, shape[0], f"{where}[{i}]")
 
 
 def _header(doc: dict, where: str) -> dict:
     """The checked fields of ``doc`` for :class:`Automaton`; :func:`_add_rows` adds the rows."""
-    if not isinstance(doc, dict):
-        raise ModelFormatError("expected a JSON object", where)
-    for key in ("name", "events", "states", "initial", "marked", "transitions"):
-        if key not in doc:
-            raise ModelFormatError(f"missing field {key!r}", where)
-    name = _expect(doc["name"], str, f"{where}.name")
-    for key in ("events", "states", "marked", "transitions"):
-        _expect(doc[key], list, f"{where}.{key}")
-    entries = []
-    for i, ev in enumerate(doc["events"]):
-        loc = f"{where}.events[{i}]"
-        if not isinstance(ev, dict) or "id" not in ev or "controllable" not in ev:
-            raise ModelFormatError("each event needs 'id' and 'controllable'", loc)
-        entries.append((ev["id"], _expect(ev["controllable"], bool, f"{loc}.controllable")))
+    check_shape(doc, _HEADER, where)
     try:
-        alphabet = Alphabet(tuple(entries))
+        alphabet = Alphabet(tuple(map(itemgetter("id", "controllable"), doc["events"])))
     except ModelFormatError as exc:
         raise ModelFormatError(str(exc), f"{where}.events") from None
-    _expect_strings(doc["states"], f"{where}.states")
-    states = tuple(doc["states"])
-    initial = _expect(doc["initial"], str, f"{where}.initial") if states else None
-    _expect_strings(doc["marked"], f"{where}.marked")
+    states, initial, marked = tuple(doc["states"]), doc["initial"], doc["marked"]
     edges = Transitions(states, alphabet, [[] for _ in states])
-    _ends(edges.index, states, initial, doc["marked"], f"{where}.")
-    return dict(name=name, alphabet=alphabet, states=states, initial=initial,
-                marked=doc["marked"], transitions=edges)
+    _ends(edges.index, states, initial, marked, f"{where}.")
+    return dict(name=doc["name"], alphabet=alphabet, states=states, initial=initial,
+                marked=marked, transitions=edges)
 
 
 _row_names = itemgetter("from", "on", "to")

@@ -2,9 +2,10 @@
 
 An automaton's edges live in the integer out-edge lists ``Automaton.out``;
 ``Automaton.transitions`` is a by-name view of them for tests, the benchmark
-and the boundary.  Only ``desctl.automata`` may read that view (or import
-``edges_of``, a by-name edge index), so every other module works on the
-integer core and names states and events through ``states`` and the alphabet.
+and the boundary.  Only ``desctl.automata`` may read that view, so every other
+module works on the integer core and names states and events through
+``states`` and the alphabet.  The scan also rejects the name ``edges_of``, for a
+by-name edge index outside that module; ``desctl`` defines none.
 A keyword argument ``transitions=`` to the constructor is not a read.
 
 Corpus knowledge is kept in one module too: no event id of the reference

@@ -285,8 +285,8 @@ class TestJsonFormat:
             automaton_from_dict(doc)
 
 
-MODEL = {"name": "m",
-         "events": [{"id": "a", "controllable": True}, {"id": "b", "controllable": False}],
+EVENT_A, EVENT_B = {"id": "a", "controllable": True}, {"id": "b", "controllable": False}
+MODEL = {"name": "m", "events": [EVENT_A, EVENT_B],
          "states": ["x", "y"], "initial": "x", "marked": ["y"],
          "transitions": [{"from": "x", "on": "a", "to": "y"},
                          {"from": "y", "on": "b", "to": "x"}]}
@@ -319,14 +319,34 @@ DUPLICATE = {"from": "x", "on": "a", "to": "x"}
     ({"rows": [{"from": "y", "on": "c", "to": "y"}, {"from": ["x"], "on": "a", "to": "y"}],
       "at": 1}, "m.json.transitions[1]: unknown event 'c'"),
     ({"initial": "z"}, "m.json.initial: initial state 'z' not in states"),
-    ({"initial": ["x"]}, "m.json.initial: expected a string, found list"),
+    ({"initial": ["x"]}, "m.json.initial: expected a string or null, found list"),
     ({"marked": ["y", "z"]}, "m.json.marked[1]: unknown state 'z'"),
     ({"marked": [3]}, "m.json.marked[0]: expected a string, found int"),
+    # A model without states has no initial state, as the constructor requires.
+    ({"states": [], "initial": "x", "marked": [], "transitions": []},
+     "m.json.initial: initial state 'x' not in states"),
+    ({"states": [], "initial": [1, {"k": 2}], "marked": [], "transitions": []},
+     "m.json.initial: expected a string or null, found list"),
+    ({"events": [["a", True], EVENT_B]}, "m.json.events[0]: expected an object, found list"),
+    ({"events": [{"controllable": True}, EVENT_B]}, "m.json.events[0]: missing field 'id'"),
+    ({"events": [EVENT_A, {"id": "b"}]}, "m.json.events[1]: missing field 'controllable'"),
+    ({"events": [{"id": 5, "controllable": True}, EVENT_B]},
+     "m.json.events[0].id: expected a string, found int"),
+    ({"events": [EVENT_A, {"id": "b", "controllable": 0}]},
+     "m.json.events[1].controllable: expected true or false, found int"),
+    ({"events": [EVENT_A, EVENT_B, {"id": "a", "controllable": False}]},
+     "m.json.events: duplicate event id 'a'"),
+    ({"events": [EVENT_A, EVENT_B, {"id": "1c", "controllable": True}]},
+     "m.json.events: bad event id '1c': must start with a letter and use only letters, "
+     "digits, '.' and '_'"),
 ], ids=["list row", "string row", "null row", "missing to", "unknown source",
         "unknown target", "unknown event", "list-valued from", "object-valued to",
         "integer on", "duplicate", "duplicate then non-object", "non-object then duplicate",
         "unknown event then list-valued from", "unknown initial", "list initial",
-        "unknown marked", "integer marked"])
+        "unknown marked", "integer marked", "stateless with initial",
+        "stateless with list initial", "list event", "event without id",
+        "event without controllable", "integer event id", "integer controllable",
+        "duplicate event id", "bad event id"])
 def test_loader_diagnostics(patch, message, tmp_path, monkeypatch):
     # Rows are inserted at index ``at`` (default: appended); the first bad one wins.
     doc = copy.deepcopy(MODEL)
@@ -374,8 +394,8 @@ def layouts(doc: dict, rng) -> list[str]:
             text[:-2] + ',\n  "name": "again",\n  "transitions": []\n}',
             json.dumps({**doc, "notes": [{"a": 1}, {"b": [{}, {}]}], "z": None}, indent=2),
             text + "\n \t\r\n", text + "\n{}",
-            json.dumps({**doc, "events": [{**ev, "transitions": rows[:1]} for ev in doc["events"]]},
-                       indent=2),
+            json.dumps({**doc, "events": [{**ev, "transitions": rows[:1]} if type(ev) is dict
+                                          else ev for ev in doc["events"]]}, indent=2),
             json.dumps({**header, 'a"transitions': [rows[:1]], "transitions": doc["transitions"]},
                        indent=2),
             escaped,

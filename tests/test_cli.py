@@ -387,6 +387,8 @@ _MODEL = {"name": "N", "events": [{"id": "a", "controllable": True}],
     {"states": [0, 1], "initial": 0, "marked": [0],
      "transitions": [{"from": 0, "on": "a", "to": 1}]},
     {"initial": ["p"]},
+    {"states": [], "initial": "p", "marked": [], "transitions": []},
+    {"states": [], "initial": [1, {"k": 2}], "marked": [], "transitions": []},
     {"marked": None},
     {"marked": [["p"]]},
     {"events": {"a": True}},

@@ -384,6 +384,10 @@ def test_well_typed_tampering_replays_false_without_raising(plant, sups):
                         (("steps_taken",), -1), (("completions",), {}),
                         (("completions",), {"1": "one"}), (("blocked_event",), "Z.nowhere")]:
         assert not replay(plant, sups, report_from_dict(_set(doc, path, value)))
+    # JSON true is not an integer, though Python's bool is an int: it is never replayed.
+    with pytest.raises(ModelFormatError) as err:
+        report_from_dict(_set(doc, ("steps_taken",), True))
+    assert str(err.value) == "report.steps_taken: expected an integer, found bool"
 
 
 def _self_loops(events) -> Automaton:
